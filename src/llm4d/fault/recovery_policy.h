@@ -115,18 +115,13 @@ struct RecoveryPolicy
 
     /**
      * Re-admit repaired hosts (RepairModel) at durable checkpoint
-     * boundaries: regrow the DP dimension back toward its configured
-     * width, MegaScale-style. Requires the warm-spare recovery mode.
+     * boundaries: refill the warm-spare pool up to its configured size
+     * first (a refill is free, the host parks warm), then regrow the DP
+     * dimension back toward its configured width at the priced Regrow
+     * transition, MegaScale-style. Requires the warm-spare recovery
+     * mode.
      */
     bool allow_regrow = false;
-
-    /**
-     * When regrowing, refill the warm-spare pool up to its configured
-     * size before widening DP. A pool refill is free (the host parks
-     * warm); a DP-regrow pays the priced Regrow transition. Only read
-     * when allow_regrow is set.
-     */
-    bool regrow_spares_first = true;
 
     CheckpointMode checkpoint_mode = CheckpointMode::Sync;
 

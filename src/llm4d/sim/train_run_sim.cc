@@ -28,6 +28,133 @@ validated(TrainRunConfig cfg)
     return cfg;
 }
 
+/** Find-or-compute on an ordered cache; @p compute runs on a miss only. */
+template <typename Map, typename Compute>
+const typename Map::mapped_type &
+memoize(Map &cache, const typename Map::key_type &key, Compute &&compute)
+{
+    auto it = cache.find(key);
+    if (it == cache.end())
+        it = cache.emplace(key, compute()).first;
+    return it->second;
+}
+
+/**
+ * Step-time multiplier when the NICs run at @p capacity of their rate.
+ * Only the NIC-bound share of the step stretches: FSDP + CP exposure
+ * crosses the NICs, TP is NVLink-local and immune, and a 2% floor
+ * covers PP P2P and infra traffic the step report does not itemize.
+ * The transfer-level slowdown comes from the flow simulator's
+ * capacity-reduction machinery (link flaps and spine-crossing
+ * displaced ranks both price through here).
+ */
+double
+nicSlowdown(const TrainStepReport &base, const ClusterSpec &cluster,
+            double capacity)
+{
+    const double nic_share = std::clamp(
+        (base.exposed_fsdp_seconds + base.exposed_cp_seconds) /
+            base.step_seconds,
+        0.02, 0.9);
+    const double nic_bps = cluster.node.gpu.nic_bw_gbps * 1e9;
+    const double xfer_slowdown = flapSlowdownFactor(
+        nic_bps, nic_bps /* a 1-second reference transfer */, capacity, 0,
+        secondsToTime(1e6));
+    return 1.0 + (xfer_slowdown - 1.0) * nic_share;
+}
+
+/**
+ * Where completed steps are covered, oldest rung first. A step enters
+ * Tentative when it completes and moves toward Committed as checkpoint
+ * writes land; a rollback drops the rungs newer than its restore point.
+ * Hbm and Nvme stay empty without hierarchical tiers, Pending without
+ * async checkpointing. A plain enum: it indexes the ledger's rungs.
+ */
+enum Rung : std::size_t
+{
+    Committed, ///< durable: global save, or a fully drained snapshot
+    Pending,   ///< snapshotted to host DRAM, filesystem drain in flight
+    Nvme,      ///< covered by the latest host-local NVMe persist
+    Hbm,       ///< covered only by the latest DP-peer HBM mirror
+    Tentative, ///< completed since the last checkpoint write
+};
+
+/**
+ * The run's single coverage ledger. Every move sums the rungs it takes
+ * from newest to oldest, so each report sum has one fixed order.
+ */
+class CoverageLedger
+{
+  public:
+    /** Work in one rung. Base and extra stay apart so a commit credits
+     *  productive and degraded time separately. */
+    struct Coverage
+    {
+        std::int64_t steps = 0;
+        double base_s = 0.0;  ///< the steps at fault-free speed
+        double extra_s = 0.0; ///< degradation on top of base_s
+    };
+
+    const Coverage &operator[](Rung rung) const { return rungs_[rung]; }
+
+    /** Steps completed and not rolled back, whatever covers them. */
+    std::int64_t steps() const
+    {
+        std::int64_t total = 0;
+        for (const Coverage &c : rungs_)
+            total += c.steps;
+        return total;
+    }
+
+    void addStep(double base_s, double extra_s)
+    {
+        Coverage &t = rungs_[Rung::Tentative];
+        ++t.steps;
+        t.base_s += base_s;
+        t.extra_s += extra_s;
+    }
+
+    /** Move the rungs from @p from down to just above @p into into it. */
+    void fold(Rung from, Rung into)
+    {
+        Coverage moved;
+        for (std::size_t r = from; r > into; --r) {
+            moved.steps += rungs_[r].steps;
+            moved.base_s += rungs_[r].base_s;
+            moved.extra_s += rungs_[r].extra_s;
+            rungs_[r] = Coverage{};
+        }
+        Coverage &to = rungs_[into];
+        to.steps += moved.steps;
+        to.base_s += moved.base_s;
+        to.extra_s += moved.extra_s;
+    }
+
+    /** Discard every rung newer than @p keep, adding each rung's base
+     *  and then its extra to one running sum. @return (steps, seconds)
+     *  dropped. */
+    std::pair<std::int64_t, double> dropNewerThan(Rung keep)
+    {
+        std::int64_t steps = 0;
+        double seconds = 0.0;
+        for (std::size_t r = Rung::Tentative; r > keep; --r) {
+            steps += rungs_[r].steps;
+            seconds += rungs_[r].base_s;
+            seconds += rungs_[r].extra_s;
+            rungs_[r] = Coverage{};
+        }
+        return {steps, seconds};
+    }
+
+  private:
+    std::array<Coverage, Rung::Tentative + 1> rungs_{};
+};
+
+/** The newest rung a restore keeps, indexed by CheckpointTier
+ *  (HbmPeer, HostLocal, Global). */
+constexpr std::array<Rung, kNumCheckpointTiers> kRestorePoint = {
+    Rung::Hbm, Rung::Nvme, Rung::Committed};
+
 } // namespace
 
 void
@@ -164,24 +291,13 @@ TrainRunSim::degradedStepSeconds(
         if (it == by_rep.end() || speed < it->second)
             by_rep[rep] = speed;
     }
-    const std::vector<std::pair<std::int64_t, double>> key(by_rep.begin(),
-                                                           by_rep.end());
-    const auto it = degraded_cache_.find(key);
-    if (it != degraded_cache_.end())
-        return it->second;
-    TrainJobConfig degraded = cfg_.job;
-    for (const auto &[rep, speed] : key)
-        degraded.perf.injectStraggler(rep, speed);
-    const double seconds = TrainSim(degraded).run().step_seconds;
-    degraded_cache_[key] = std::max(seconds, base_.step_seconds);
-    return degraded_cache_[key];
-}
-
-double
-TrainRunSim::degradedStepSeconds(std::int64_t straggler_rank,
-                                 double speed) const
-{
-    return degradedStepSeconds({{straggler_rank, speed}});
+    return memoize(degraded_cache_, by_rep, [&] {
+        TrainJobConfig degraded = cfg_.job;
+        for (const auto &[rep, speed] : by_rep)
+            degraded.perf.injectStraggler(rep, speed);
+        return std::max(TrainSim(degraded).run().step_seconds,
+                        base_.step_seconds);
+    });
 }
 
 bool
@@ -219,155 +335,51 @@ TrainRunSim::stepReportAtDp(std::int64_t dp) const
 {
     if (dp == cfg_.job.par.dp)
         return base_;
-    const auto it = shrunk_report_cache_.find(dp);
-    if (it != shrunk_report_cache_.end())
-        return it->second;
     // Same global batch over fewer replicas: each survivor runs more
     // micro-batches, so the fault-free step gets strictly slower.
-    TrainJobConfig job = cfg_.job;
-    job.par = RecoveryCostModel::shrunkPar(job.par, dp);
-    job.cluster = RecoveryCostModel::shrunkCluster(job.cluster, job.par);
-    return shrunk_report_cache_.emplace(dp, TrainSim(job).run())
-        .first->second;
-}
-
-double
-TrainRunSim::stepSecondsAtDp(std::int64_t dp) const
-{
-    if (dp == cfg_.job.par.dp)
-        return base_.step_seconds;
-    return std::max(stepReportAtDp(dp).step_seconds, base_.step_seconds);
+    return memoize(shrunk_report_cache_, dp, [&] {
+        TrainJobConfig job = cfg_.job;
+        job.par = RecoveryCostModel::shrunkPar(job.par, dp);
+        job.cluster = RecoveryCostModel::shrunkCluster(job.cluster, job.par);
+        return TrainSim(job).run();
+    });
 }
 
 double
 TrainRunSim::displacementSlowdown() const
 {
-    if (displacement_slowdown_ > 0.0)
-        return displacement_slowdown_;
-    // NIC-bound share of the step (same derivation as the flap path):
-    // FSDP + CP exposure crosses the NICs; TP stays NVLink-local.
-    const double nic_share = std::clamp(
-        (base_.exposed_fsdp_seconds + base_.exposed_cp_seconds) /
-            base_.step_seconds,
-        0.02, 0.9);
     // The displaced rank's DP traffic crosses the spine, which offers
-    // 1/oversubscription of the pod-local NIC capacity. Price the
-    // transfer-level stretch through the same FlowSim
-    // capacity-reduction machinery as a link flap.
-    const double nic_bps = cfg_.job.cluster.node.gpu.nic_bw_gbps * 1e9;
-    const double spine_capacity =
-        1.0 / cfg_.job.cluster.spine_oversubscription;
-    const double xfer_slowdown = flapSlowdownFactor(
-        nic_bps, nic_bps /* a 1-second reference transfer */,
-        spine_capacity, 0, secondsToTime(1e6));
-    displacement_slowdown_ = 1.0 + (xfer_slowdown - 1.0) * nic_share;
+    // 1/oversubscription of the pod-local NIC capacity.
+    if (displacement_slowdown_ <= 0.0)
+        displacement_slowdown_ =
+            nicSlowdown(base_, cfg_.job.cluster,
+                        1.0 / cfg_.job.cluster.spine_oversubscription);
     return displacement_slowdown_;
 }
 
-const TrainStepReport &
-TrainRunSim::stepReportAtPlacement(std::int64_t dp) const
+const CheckpointModel &
+TrainRunSim::checkpointAt(std::int64_t dp) const
 {
-    const auto it = displaced_report_cache_.find(dp);
-    if (it != displaced_report_cache_.end())
-        return it->second;
-    // Synchronized training: one displaced rank stretches its DP
-    // group's collectives over the spine and the whole step waits.
-    TrainStepReport degraded = stepReportAtDp(dp);
-    const double slowdown = displacementSlowdown();
-    degraded.step_seconds *= slowdown;
-    degraded.tflops_per_gpu /= slowdown;
-    degraded.mfu /= slowdown;
-    return displaced_report_cache_.emplace(dp, degraded).first->second;
-}
-
-double
-TrainRunSim::migrateHomeSeconds() const
-{
-    if (migrate_home_seconds_ >= 0.0)
-        return migrate_home_seconds_;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::MigrateHome;
-    migrate_home_seconds_ = recovery_.price(req).totalSeconds();
-    return migrate_home_seconds_;
-}
-
-const TrainRunSim::CkptCosts &
-TrainRunSim::checkpointCostsAt(std::int64_t dp) const
-{
-    const auto it = ckpt_cost_cache_.find(dp);
-    if (it != ckpt_cost_cache_.end())
-        return it->second;
-    const auto price = [&](const CheckpointModel &model) {
-        CkptCosts costs;
-        costs.save = model.saveSeconds();
-        costs.snapshot = model.snapshotSeconds();
-        costs.drain = model.drainSeconds();
-        costs.load = model.loadSeconds();
-        if (cfg_.storage.hier.enabled) {
-            costs.hbm_write = model.hbmMirrorSeconds();
-            costs.hbm_read = model.hbmRestoreSeconds();
-            costs.nvme_write = model.nvmeWriteSeconds();
-            costs.nvme_read = model.nvmeRestoreSeconds();
-        }
-        return costs;
-    };
-    CkptCosts costs;
-    if (dp == cfg_.job.par.dp) {
-        costs = price(ckpt_);
-    } else {
+    if (dp == cfg_.job.par.dp)
+        return ckpt_;
+    return memoize(shrunk_ckpt_cache_, dp, [&] {
         const ParallelismConfig par =
             RecoveryCostModel::shrunkPar(cfg_.job.par, dp);
-        const ClusterSpec cluster =
-            RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par);
-        const CheckpointModel model(cfg_.job.model, cluster, par,
-                                    cfg_.storage);
-        costs = price(model);
-    }
-    return ckpt_cost_cache_.emplace(dp, costs).first->second;
+        return CheckpointModel(
+            cfg_.job.model,
+            RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par), par,
+            cfg_.storage);
+    });
 }
 
-double
-TrainRunSim::shrinkSecondsTo(std::int64_t dp) const
+const CostBreakdown &
+TrainRunSim::recoveryCost(const RecoveryCostRequest &req) const
 {
-    const auto it = shrink_cost_cache_.find(dp);
-    if (it != shrink_cost_cache_.end())
-        return it->second;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::Shrink;
-    req.to_dp = dp;
-    req.restore_tier = CheckpointTier::Global;
-    const double seconds = recovery_.price(req).totalSeconds();
-    shrink_cost_cache_[dp] = seconds;
-    return seconds;
-}
-
-double
-TrainRunSim::shrinkHbmSecondsTo(std::int64_t dp) const
-{
-    const auto it = shrink_hbm_cost_cache_.find(dp);
-    if (it != shrink_hbm_cost_cache_.end())
-        return it->second;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::Shrink;
-    req.to_dp = dp;
-    req.restore_tier = CheckpointTier::HbmPeer;
-    const double seconds = recovery_.price(req).totalSeconds();
-    shrink_hbm_cost_cache_[dp] = seconds;
-    return seconds;
-}
-
-double
-TrainRunSim::regrowSecondsTo(std::int64_t dp) const
-{
-    const auto it = regrow_cost_cache_.find(dp);
-    if (it != regrow_cost_cache_.end())
-        return it->second;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::Regrow;
-    req.to_dp = dp;
-    const double seconds = recovery_.price(req).totalSeconds();
-    regrow_cost_cache_[dp] = seconds;
-    return seconds;
+    return memoize(
+        recovery_cost_cache_,
+        std::make_tuple(req.kind, req.to_dp, req.restore_tier,
+                        req.spare_path),
+        [&] { return recovery_.price(req); });
 }
 
 double
@@ -419,42 +431,65 @@ TrainRunSim::run() const
     return runWithInterval(checkpointIntervalSteps());
 }
 
-TrainRunReport
-TrainRunSim::runWithInterval(std::int64_t interval_steps) const
+/**
+ * The state of one simulated run and its event handlers. Every handler
+ * runs as an Engine event (or is called by one), so the members are the
+ * whole state between events. Event callbacks capture only `this`.
+ */
+class TrainRunSim::RunState
 {
-    LLM4D_CHECK(interval_steps > 0, "checkpoint interval must be positive");
-    const RecoveryPolicy &pol = cfg_.policy;
-    const bool async = pol.checkpoint_mode == CheckpointMode::Async;
-    const HierarchicalCheckpointSpec &hier = cfg_.storage.hier;
-    const bool tiered = hier.enabled;
-    const double base_step_s = base_.step_seconds;
-    // Share of the step a NIC flap can slow down: traffic that crosses
-    // the NICs and sits on the critical path (FSDP + CP exposure). TP is
-    // NVLink-local and immune. Floor at 2% for PP P2P and infra traffic
-    // that the step report does not itemize.
-    const double nic_share = std::clamp(
-        (base_.exposed_fsdp_seconds + base_.exposed_cp_seconds) /
-            base_step_s,
-        0.02, 0.9);
-    const Time wall_limit =
-        secondsToTime(cfg_.max_wall_days * 24.0 * kSecondsPerHour);
+  public:
+    RunState(const TrainRunSim &sim, std::int64_t interval_steps)
+        : sim_(sim), cfg_(sim.cfg_), pol_(sim.cfg_.policy),
+          interval_steps_(interval_steps),
+          async_(pol_.checkpoint_mode == CheckpointMode::Async),
+          tiered_(cfg_.storage.hier.enabled),
+          base_step_s_(sim.base_.step_seconds),
+          wall_limit_(
+              secondsToTime(cfg_.max_wall_days * 24.0 * kSecondsPerHour)),
+          faults_(cfg_.job.cluster, cfg_.faults, cfg_.seed),
+          // Every fatal fault is submitted to the repair shop whether
+          // or not the policy consumes repairs: the shop draws from its
+          // own streams at submit time, so the repair timeline is
+          // policy-invariant (common random numbers) and
+          // allow_regrow=false runs stay bit-identical to runs with no
+          // repair shop at all.
+          repair_shop_(cfg_.job.cluster, cfg_.repairs, cfg_.seed),
+          topo_(cfg_.job.cluster),
+          // A claim's location is read only by placement-aware policies;
+          // the location-blind model uses the pool as a plain count.
+          spare_pool_(cfg_.job.cluster, pol_.spare_placement,
+                      pol_.spare_hosts),
+          dp_now_(cfg_.job.par.dp)
+    {
+    }
 
-    FaultModel faults(cfg_.job.cluster, cfg_.faults, cfg_.seed);
-    const bool has_faults = !faults.silent();
-    // Every fatal fault is submitted to the repair shop whether or not
-    // the policy consumes repairs: the shop draws from its own streams
-    // at submit time, so the repair timeline is policy-invariant
-    // (common random numbers) and allow_regrow=false runs stay
-    // bit-identical to runs with no repair shop at all.
-    RepairModel repair_shop(cfg_.job.cluster, cfg_.repairs, cfg_.seed);
-    const Topology topo(cfg_.job.cluster);
+    /** Simulate to completion or truncation; fills the report's
+     *  counters, buckets, wall clock and final DP. */
+    TrainRunReport run()
+    {
+        // Pull-based fault stream: exactly one fault event is in the
+        // queue at a time; consuming it schedules the next, so the
+        // timeline is a pure function of the seed no matter how long
+        // the run takes.
+        if (!faults_.silent())
+            pumpFault();
+        scheduleStep();
+        eng_.run();
+        rep_.completed = finished_ && !truncated_;
+        rep_.steps_committed = ledger_[Rung::Committed].steps;
+        rep_.productive_seconds = ledger_[Rung::Committed].base_s;
+        rep_.degraded_seconds = ledger_[Rung::Committed].extra_s;
+        rep_.final_dp = dp_now_;
+        // The engine clock can drift past the end while draining a
+        // trailing (ignored) fault event; the recorded stop time is the
+        // true wall.
+        rep_.wall_seconds = timeToSeconds(
+            (finished_ || truncated_) ? stopped_at_ : eng_.now());
+        return std::move(rep_);
+    }
 
-    Engine eng;
-    TrainRunReport rep;
-    rep.base_tflops_per_gpu = base_.tflops_per_gpu;
-    rep.ideal_seconds =
-        static_cast<double>(cfg_.total_steps) * base_step_s;
-
+  private:
     struct ActiveFlap
     {
         Time until = 0;
@@ -473,260 +508,326 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         Snapshot, ///< a snapshot wants the single host buffer
         Final,    ///< finish/eviction blocks until durability
     };
+    /** What a checkpoint write does when it lands. */
+    enum class Write
+    {
+        Save,         ///< sync global save: commits everything
+        Snapshot,     ///< async DRAM snapshot: starts the drain
+        TierBoundary, ///< HBM mirror (+ NVMe on its cadence)
+    };
 
-    // ---- Run state, mutated by the event handlers below. ----
-    std::int64_t committed = 0;        ///< steps durably in a checkpoint
-    std::int64_t done_since_ckpt = 0;  ///< completed, not yet snapshotted
-    double tentative_base_s = 0.0;     ///< base-speed part of those steps
-    double tentative_extra_s = 0.0;    ///< degradation part of those steps
-    std::int64_t pending_steps = 0;    ///< snapshotted, drain in flight
-    double pending_base_s = 0.0;
-    double pending_extra_s = 0.0;
-    // Hierarchical-tier coverage ledgers (always zero when !tiered).
-    // Ordering oldest -> newest: committed | pending | nv | local |
-    // tentative. "nv" steps are covered by the latest NVMe persist,
-    // "local" only by the latest HBM peer mirror.
-    std::int64_t nv_steps = 0;
-    double nv_base_s = 0.0;
-    double nv_extra_s = 0.0;
-    std::int64_t local_steps = 0;
-    double local_base_s = 0.0;
-    double local_extra_s = 0.0;
-    std::int64_t ckpt_boundary = 0; ///< cadence counter, never rolled back
-    std::int64_t dp_now = cfg_.job.par.dp;  ///< shrinks are persistent
-    std::int64_t spares_left = pol.spare_hosts;
-    // Spare locations. Only consulted when the policy is
-    // placement-aware; the legacy location-blind model never looks, so
-    // CentralPool + placement_migration=false is bit-identical to the
-    // pre-placement simulator. When consulted, the pool mirrors
-    // spares_left exactly (claims and refills move in lock-step).
-    SparePool spare_pool(cfg_.job.cluster, pol.spare_placement,
-                         pol.spare_hosts);
-    const bool placement_aware = pol.placementAware();
-    std::int64_t displaced = 0; ///< ranks running on cross-pod spares
-    std::int64_t warmup_left = 0;
-    bool running = false;   ///< a step or checkpoint event is in flight
-    bool down = false;      ///< between failure and restored service
-    bool paused = false;    ///< the outage is a pause, not a recovery
-    bool finished = false;
-    bool finishing = false; ///< all steps done; final durability pending
-    bool truncated = false;
-    Time stopped_at = 0;    ///< clock when the run ended (either way)
-    Time step_started = 0;
-    double step_len_s = 0.0; ///< duration of the in-flight step
-    EventId work_event = 0;  ///< pending step/checkpoint completion
-    EventId resume_event = 0; ///< pending service restoration
-    Time resume_at = 0;       ///< when that restoration fires
-    double outage_rest_s = 0.0;        ///< recovery part of the outage
-    double *outage_bucket = &rep.restart_seconds; ///< where it went
-    bool in_checkpoint = false;
-    Time ckpt_started = 0;
-    bool drain_active = false;
-    EventId drain_event = 0;
-    AsyncWait wait = AsyncWait::None;
-    Time stall_started = 0;
-    std::int64_t evict_rank = -1; ///< straggler awaiting durable evict
-    // Ordered maps on purpose: both are iterated by event handlers, and
-    // deterministic (rank-ordered) iteration is part of the engine's
-    // bit-reproducibility contract — the nondeterminism lint rejects
-    // unordered-container iteration in event-scheduling files.
-    std::map<std::int64_t, ActiveFlap> flaps;           // by NIC/rank
-    std::map<std::int64_t, ActiveStraggler> stragglers; // by rank
+    const CheckpointModel &ckpt() const { return sim_.checkpointAt(dp_now_); }
 
-    // Forward declarations so handlers can schedule each other.
-    std::function<void()> schedule_step;
-    std::function<void(const FaultEvent &)> on_fault;
-    std::function<void()> start_snapshot;
-    std::function<void()> on_drain_done;
+    /** Whether the tier cadence counter's next boundary is due every
+     *  @p every boundaries. */
+    bool boundaryDue(std::int64_t every) const
+    {
+        return (ckpt_boundary_ + 1) % every == 0;
+    }
 
-    const auto flap_multiplier = [&]() {
+    bool canSwap() const
+    {
+        return pol_.mode == RecoveryMode::WarmSpare &&
+               spare_pool_.available() > 0;
+    }
+
+    bool canShrink() const
+    {
+        return pol_.mode == RecoveryMode::WarmSpare &&
+               pol_.allow_dp_shrink && dp_now_ > 1 &&
+               sim_.canShrinkTo(dp_now_ - 1);
+    }
+
+    double flapMultiplier() const
+    {
         double worst_capacity = 1.0;
-        for (const auto &[rank, flap] : flaps) {
-            if (flap.until > eng.now())
+        for (const auto &[rank, flap] : flaps_) {
+            if (flap.until > eng_.now())
                 worst_capacity = std::min(worst_capacity, flap.multiplier);
         }
         if (worst_capacity >= 1.0)
             return 1.0;
-        // Transfer-level slowdown of the degraded NIC, measured through
-        // the flow simulator's capacity-reduction machinery.
-        const double nic_bps = cfg_.job.cluster.node.gpu.nic_bw_gbps * 1e9;
-        const double xfer_slowdown = flapSlowdownFactor(
-            nic_bps, nic_bps /* a 1-second reference transfer */,
-            worst_capacity, 0, secondsToTime(1e6));
-        return 1.0 + (xfer_slowdown - 1.0) * nic_share;
-    };
+        return nicSlowdown(sim_.base_, cfg_.job.cluster, worst_capacity);
+    }
 
-    const auto current_step_seconds = [&]() {
+    double currentStepSeconds() const
+    {
         // Any displaced rank stretches its DP group's collectives over
         // the oversubscribed spine; synchronized training makes the
         // whole step wait for it.
-        const double eff =
-            displaced > 0
-                ? std::max(stepReportAtPlacement(dp_now).step_seconds,
-                           base_step_s)
-                : stepSecondsAtDp(dp_now);
+        const double eff = std::max(
+            sim_.stepReportAtDp(dp_now_).step_seconds *
+                (displaced_ > 0 ? sim_.displacementSlowdown() : 1.0),
+            base_step_s_);
         double s = eff;
         double worst_residual = 1.0;
         // Price the whole unmitigated set through one TrainSim rerun:
         // concurrent stragglers on distinct PP stages compound, which a
         // max over single-straggler runs undercounts.
         std::vector<std::pair<std::int64_t, double>> active;
-        for (const auto &[rank, st] : stragglers) {
+        for (const auto &[rank, st] : stragglers_) {
             if (st.mitigated)
                 worst_residual = std::max(worst_residual, st.residual);
             else
                 active.emplace_back(rank, st.speed);
         }
         if (!active.empty())
-            s = std::max(s, eff * degradedStepSeconds(active) /
-                                base_step_s);
+            s = std::max(s, eff * sim_.degradedStepSeconds(active) /
+                                base_step_s_);
         s = std::max(s, eff * worst_residual);
-        s *= flap_multiplier();
-        if (warmup_left > 0)
+        s *= flapMultiplier();
+        if (warmup_left_ > 0)
             s *= cfg_.restart.warmup_slowdown;
-        if (drain_active)
+        if (drain_active_)
             s *= cfg_.storage.async.drain_step_slowdown;
         return s;
-    };
+    }
 
-    const auto steps_done = [&]() {
-        return committed + pending_steps + nv_steps + local_steps +
-               done_since_ckpt;
-    };
-
-    /** Sync-mode commit: the completed save makes everything durable
-     *  (with tiers, the global save also supersedes local coverage). */
-    const auto commit = [&](double save_s) {
-        rep.checkpoint_seconds += save_s;
-        committed += done_since_ckpt + local_steps + nv_steps;
-        rep.productive_seconds +=
-            tentative_base_s + local_base_s + nv_base_s;
-        rep.degraded_seconds +=
-            tentative_extra_s + local_extra_s + nv_extra_s;
-        done_since_ckpt = 0;
-        tentative_base_s = 0.0;
-        tentative_extra_s = 0.0;
-        local_steps = 0;
-        local_base_s = 0.0;
-        local_extra_s = 0.0;
-        nv_steps = 0;
-        nv_base_s = 0.0;
-        nv_extra_s = 0.0;
-    };
-
-    const auto rollback = [&]() {
-#if LLM4D_AUDIT_ENABLED
-        // Rollback targets non-durable work only: committed steps are
-        // untouchable, and the lost-step ledger must grow by exactly the
-        // tentative + local-tier + pending steps being discarded.
-        const std::int64_t audit_committed_before = committed;
-        const std::int64_t audit_expected_lost =
-            rep.steps_lost + done_since_ckpt + local_steps + nv_steps +
-            pending_steps;
-#endif
-        // Un-durable work is lost: the steps since the last snapshot,
-        // any snapshot whose drain has not finished, and (with tiers)
-        // all work covered only by the now-destroyed local copies.
-        if (drain_active) {
-            eng.cancel(drain_event);
-            drain_active = false;
-        }
-        rep.lost_seconds += tentative_base_s + tentative_extra_s +
-                            local_base_s + local_extra_s + nv_base_s +
-                            nv_extra_s + pending_base_s + pending_extra_s;
-        rep.steps_lost +=
-            done_since_ckpt + local_steps + nv_steps + pending_steps;
-        done_since_ckpt = 0;
-        tentative_base_s = 0.0;
-        tentative_extra_s = 0.0;
-        local_steps = 0;
-        local_base_s = 0.0;
-        local_extra_s = 0.0;
-        nv_steps = 0;
-        nv_base_s = 0.0;
-        nv_extra_s = 0.0;
-        pending_steps = 0;
-        pending_base_s = 0.0;
-        pending_extra_s = 0.0;
-        // A pending finish/eviction referred to steps just rolled back;
-        // the re-executed steps must re-trigger it, or a later routine
-        // snapshot would terminate the run early.
-        finishing = false;
-        evict_rank = -1;
-        LLM4D_AUDIT_CHECK("sim", committed == audit_committed_before,
-                          "rollback changed durable progress: "
-                              << audit_committed_before << " -> "
-                              << committed << " committed steps");
-        LLM4D_AUDIT_CHECK("sim", rep.steps_lost == audit_expected_lost,
-                          "rollback lost-step ledger off: "
-                              << rep.steps_lost << " != expected "
-                              << audit_expected_lost);
-    };
-
-    /**
-     * Tier-aware rollback. Global destroys everything non-durable
-     * (pre-existing behavior). The local tiers keep more: the drain (a
-     * host-side checkpoint daemon writing from host DRAM) keeps running
-     * across GPU-level faults and even process restarts, so pending and
-     * NVMe-covered work survive; HbmPeer additionally keeps the
-     * HBM-mirror-covered steps (survivor processes stay live), losing
-     * only the tentative tail.
-     */
-    const auto rollback_to_tier = [&](CheckpointTier tier) {
-        if (tier == CheckpointTier::Global) {
-            rollback();
+    void scheduleStep()
+    {
+        if (finished_ || truncated_ || down_ || wait_ != AsyncWait::None)
+            return;
+        if (truncateIfLate())
+            return;
+        if (tiered_ && ledger_.steps() >= cfg_.total_steps) {
+            // A local-tier rollback can leave every remaining step
+            // already covered (only the tentative tail was lost); no
+            // step completion will fire again, so finish from here.
+            finish();
             return;
         }
-        double lost_s = tentative_base_s + tentative_extra_s;
-        std::int64_t lost = done_since_ckpt;
-        done_since_ckpt = 0;
-        tentative_base_s = 0.0;
-        tentative_extra_s = 0.0;
-        if (tier == CheckpointTier::HostLocal) {
-            // HBM-only coverage dies with the restarted processes.
-            lost_s += local_base_s + local_extra_s;
-            lost += local_steps;
-            local_steps = 0;
-            local_base_s = 0.0;
-            local_extra_s = 0.0;
+        step_len_s_ = currentStepSeconds();
+        work_started_ = eng_.now();
+        running_ = true;
+        work_event_ = eng_.schedule(secondsToTime(step_len_s_),
+                                    [this] { onStepDone(); });
+    }
+
+    void onStepDone()
+    {
+        running_ = false;
+        ledger_.addStep(base_step_s_, step_len_s_ - base_step_s_);
+        if (warmup_left_ > 0)
+            --warmup_left_;
+        // Straggler detection accumulates evidence one degraded step at
+        // a time; mitigated stragglers are already handled. Lowest rank
+        // wins ties — explicit even though the ordered map already
+        // iterates by rank, so the policy survives a container change.
+        std::int64_t detected = -1;
+        for (auto &[rank, st] : stragglers_) {
+            if (st.mitigated)
+                continue;
+            --st.steps_to_detect;
+            if (st.steps_to_detect <= 0 && (detected < 0 || rank < detected))
+                detected = rank;
         }
-        rep.lost_seconds += lost_s;
-        rep.steps_lost += lost;
-        // Same re-trigger rule as the global rollback.
-        finishing = false;
-        evict_rank = -1;
-    };
+        if (ledger_.steps() >= cfg_.total_steps) {
+            finish();
+            return;
+        }
+        if (detected >= 0) {
+            handleDetected(detected);
+            return;
+        }
+        if (ledger_[Rung::Tentative].steps < interval_steps_) {
+            scheduleStep();
+            return;
+        }
+        if (!tiered_) {
+            persist();
+            return;
+        }
+        // Hierarchical boundary: always block for the HBM peer mirror,
+        // fold NVMe on its cadence, and run the global (sync save /
+        // async snapshot) machinery on its own cadence. The counter
+        // advances only when the write *completes*, so a fault
+        // mid-boundary retries the same (possibly global) boundary
+        // instead of sliding the cadence.
+        const bool nvme_b = boundaryDue(cfg_.storage.hier.global_every) ||
+                            boundaryDue(cfg_.storage.hier.nvme_every);
+        startWrite(Write::TierBoundary,
+                   ckpt().hbmMirrorSeconds() +
+                       (nvme_b ? ckpt().nvmeWriteSeconds() : 0.0));
+    }
 
-    /** Service outage: detection, then @p rest_s of recovery work
-     *  charged to @p bucket. Both are charged upfront and refunded if a
-     *  back-to-back failure cuts the outage short. */
-    const auto begin_outage = [&](double detection_s, double rest_s,
-                                  double *bucket) {
-        rep.detection_seconds += detection_s;
+    /** The single checkpoint-write path: block the step for @p seconds,
+     *  then land the write in onWriteDone(). */
+    void startWrite(Write kind, double seconds)
+    {
+        write_ = kind;
+        write_s_ = seconds;
+        work_started_ = eng_.now();
+        running_ = true;
+        work_event_ = eng_.schedule(secondsToTime(seconds),
+                                    [this] { onWriteDone(); });
+    }
+
+    void onWriteDone()
+    {
+        rep_.checkpoint_seconds += write_s_;
+        running_ = false;
+        switch (write_) {
+          case Write::Save:
+            // The completed save makes everything durable (with tiers
+            // it also supersedes the local coverage).
+            ledger_.fold(Rung::Tentative, Rung::Committed);
+            afterDurable();
+            return;
+          case Write::Snapshot:
+            // The snapshot landed in host DRAM: the steps it covers
+            // wait on the filesystem drain, which starts in the
+            // background. With tiers it also supersedes local coverage.
+            ledger_.fold(Rung::Tentative, Rung::Pending);
+            drain_active_ = true;
+            drain_event_ = eng_.schedule(secondsToTime(ckpt().drainSeconds()),
+                                         [this] { onDrainDone(); });
+            if (finishing_ || evict_rank_ >= 0) {
+                // Durability is on the critical path: block for the
+                // drain instead of overlapping it with steps.
+                wait_ = AsyncWait::Final;
+                stall_started_ = eng_.now();
+            } else {
+                resume();
+            }
+            return;
+          case Write::TierBoundary: {
+            const bool global_b = boundaryDue(cfg_.storage.hier.global_every);
+            const bool nvme_b =
+                global_b || boundaryDue(cfg_.storage.hier.nvme_every);
+            ++ckpt_boundary_;
+            // The fresh mirror covers the tentative tail.
+            ledger_.fold(Rung::Tentative, Rung::Hbm);
+            if (nvme_b)
+                ledger_.fold(Rung::Hbm, Rung::Nvme);
+            if (global_b)
+                persist();
+            else
+                scheduleStep();
+            return;
+          }
+        }
+    }
+
+    /**
+     * Make every completed step durable, then continue per
+     * afterDurable(): a sync save commits when it lands; async takes a
+     * snapshot, whose drain commits. finishing_ and evict_rank_ say
+     * what comes next, so both modes read the same continuation.
+     */
+    void persist()
+    {
+        if (!async_) {
+            startWrite(Write::Save, ckpt().saveSeconds());
+        } else if (drain_active_) {
+            // The single host snapshot buffer forces a stall while the
+            // previous drain is still writing it out.
+            wait_ = AsyncWait::Snapshot;
+            stall_started_ = eng_.now();
+        } else {
+            startWrite(Write::Snapshot, ckpt().snapshotSeconds());
+        }
+    }
+
+    void onDrainDone()
+    {
+        if (finished_ || truncated_)
+            return;
+        drain_active_ = false;
+        ledger_.fold(Rung::Pending, Rung::Committed);
+        const AsyncWait waited = wait_;
+        settleStall();
+        if (waited == AsyncWait::Snapshot)
+            persist();
+        else if (waited == AsyncWait::Final)
+            afterDurable();
+    }
+
+    /** Progress just became durable: end the run, evict the localized
+     *  straggler, or carry on. */
+    void afterDurable()
+    {
+        if (finishing_) {
+            finished_ = true;
+            stopped_at_ = eng_.now();
+        } else if (evict_rank_ >= 0) {
+            const std::int64_t victim = topo_.nodeOf(evict_rank_);
+            stragglers_.erase(evict_rank_);
+            evict_rank_ = -1;
+            // An eviction removes one GPU deliberately — same blast
+            // radius as a GpuFatal for tier selection.
+            beginRecovery(cfg_.detection.straggler_analysis_seconds,
+                          restoreTier(BlastRadius::Gpu), victim);
+        } else {
+            resume();
+        }
+    }
+
+    void finish()
+    {
+        // The run always ends by making the final steps durable.
+        finishing_ = true;
+        persist();
+    }
+
+    /** Straggler localized: rebalance if the policy allows and the DP
+     *  peers have the memory headroom to absorb the shifted
+     *  micro-batches; otherwise checkpoint and evict. */
+    void handleDetected(std::int64_t detected)
+    {
+        auto &st = stragglers_[detected];
+        if (pol_.straggler_rebalance && st.speed > 0.0 && st.speed < 1.0 &&
+            dp_now_ > 1) {
+            const double degraded_ratio =
+                sim_.degradedStepSeconds({{detected, st.speed}}) /
+                base_step_s_;
+            const RebalancePlan plan = planMicrobatchRebalance(
+                st.speed, dp_now_ - 1, sim_.stepReportAtDp(dp_now_).nmb,
+                sim_.rebalanceHeadroomMicrobatches(detected, dp_now_));
+            if (plan.feasible &&
+                plan.residual_multiplier <= pol_.rebalance_max_residual &&
+                plan.residual_multiplier < degraded_ratio) {
+                st.mitigated = true;
+                st.residual = plan.residual_multiplier;
+                ++rep_.rebalances;
+                // A pure pause: localization + rebalance push, charged
+                // to detection, no recovery work, no warmup.
+                beginOutage(&rep_.restart_seconds,
+                            cfg_.detection.straggler_analysis_seconds +
+                                pol_.rebalance_seconds,
+                            0.0, false);
+                return;
+            }
+        }
+        // Orderly maintenance restart: make progress durable first (no
+        // lost work), then evict the culprit through the recovery path.
+        evict_rank_ = detected;
+        persist();
+    }
+
+    /**
+     * The single outage entry point: @p detection_s of detection
+     * latency, then @p rest_s of recovery work charged to @p bucket.
+     * Both are charged upfront and refunded if a back-to-back failure
+     * cuts the outage short. Recoveries, regrows and migrations are
+     * followed by @p warmup steps; a rebalance pause is not.
+     */
+    void beginOutage(double *bucket, double detection_s, double rest_s,
+                     bool warmup = true)
+    {
+        rep_.detection_seconds += detection_s;
         *bucket += rest_s;
-        outage_rest_s = rest_s;
-        outage_bucket = bucket;
-        warmup_left = cfg_.restart.warmup_steps;
-        down = true;
-        running = false;
-        const double outage_s = detection_s + rest_s;
-        resume_at = eng.now() + secondsToTime(outage_s);
-        resume_event = eng.schedule(secondsToTime(outage_s), [&]() {
-            down = false;
-            schedule_step();
+        outage_rest_s_ = rest_s;
+        outage_bucket_ = bucket;
+        if (warmup)
+            warmup_left_ = cfg_.restart.warmup_steps;
+        down_ = true;
+        const Time outage = secondsToTime(detection_s + rest_s);
+        resume_at_ = eng_.now() + outage;
+        resume_event_ = eng_.schedule(outage, [this] {
+            down_ = false;
+            scheduleStep();
         });
-    };
-
-    /** Refund the un-elapsed tail of an in-progress outage (the
-     *  recovery it paid for never happens). */
-    const auto refund_outage = [&]() {
-        eng.cancel(resume_event);
-        const double remaining = timeToSeconds(resume_at - eng.now());
-        const double rest_part = std::min(remaining, outage_rest_s);
-        *outage_bucket -= rest_part;
-        rep.detection_seconds -= remaining - rest_part;
-        down = false;
-    };
+    }
 
     /**
      * Restore-tier selection (peek; consumes nothing): the newest tier
@@ -738,664 +839,384 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
      * partial-restart protocol is enabled; a full restart tears the
      * processes down and re-reads host-local NVMe instead.
      */
-    const auto restore_tier = [&](BlastRadius radius) {
-        if (!tiered || radius == BlastRadius::Host)
+    CheckpointTier restoreTier(BlastRadius radius) const
+    {
+        if (!tiered_ || radius == BlastRadius::Host)
             return CheckpointTier::Global;
-        const bool live_path =
-            pol.mode == RecoveryMode::WarmSpare &&
-            (spares_left > 0 ||
-             (pol.allow_dp_shrink && dp_now > 1 && canShrinkTo(dp_now - 1)));
-        if (live_path)
-            return pol.partial_restart ? CheckpointTier::HbmPeer
-                                       : CheckpointTier::Global;
+        if (canSwap() || canShrink())
+            return pol_.partial_restart ? CheckpointTier::HbmPeer
+                                        : CheckpointTier::Global;
         return CheckpointTier::HostLocal;
-    };
+    }
 
     /** Recovery dispatch: warm spare -> DP shrink -> full restart,
-     *  restoring from @p tier (selected by restore_tier for the same
+     *  restoring from @p tier (selected by restoreTier for the same
      *  pre-dispatch state, so the paths agree). @p victim_host names
      *  the failed node so a placement-aware policy can pick the
      *  nearest spare and price the swap over the actual path. */
-    const auto begin_recovery = [&](double detection_s,
-                                    CheckpointTier tier,
-                                    std::int64_t victim_host) {
-        const auto tier_idx = static_cast<std::size_t>(tier);
-        if (pol.mode == RecoveryMode::WarmSpare && spares_left > 0) {
-            --spares_left;
-            ++rep.spare_swaps;
-            RecoveryCostRequest req;
+    void beginRecovery(double detection_s, CheckpointTier tier,
+                       std::int64_t victim_host)
+    {
+        double &tier_restore_s =
+            rep_.tier_restore_seconds[static_cast<std::size_t>(tier)];
+        if (tier == CheckpointTier::HbmPeer) {
+            // Partial restart: only the replacement ranks re-fetch from
+            // DP-peer mirrors; no fleet-wide filesystem read.
+            ++rep_.partial_restarts;
+        }
+        RecoveryCostRequest req;
+        if (canSwap()) {
+            ++rep_.spare_swaps;
             req.kind = tier == CheckpointTier::HbmPeer
                            ? RecoveryCostRequest::Kind::PartialRestart
                            : RecoveryCostRequest::Kind::SpareSwap;
-            if (placement_aware) {
-                const auto claim = spare_pool.claimNearest(victim_host);
-                LLM4D_CHECK(claim.has_value(),
-                            "spare pool dry while the swap counter shows "
-                                << spares_left + 1 << " spares");
-                req.spare_path = claim->path;
-                if (!claim->pod_local) {
+            const SpareClaim claim = *spare_pool_.claimNearest(victim_host);
+            if (pol_.placementAware()) {
+                req.spare_path = claim.path;
+                if (!claim.pod_local) {
                     // The replacement lives in another pod: the swap is
                     // priced over the spine and the rank runs displaced
                     // until it can migrate home.
-                    ++rep.cross_pod_swaps;
-                    ++displaced;
+                    ++rep_.cross_pod_swaps;
+                    ++displaced_;
                 }
             }
-            if (tier == CheckpointTier::HbmPeer) {
-                // Partial restart: only the replacement ranks re-fetch
-                // from DP-peer mirrors; no fleet-wide filesystem read.
-                ++rep.partial_restarts;
-            }
-            const CostBreakdown cost = recovery_.price(req);
-            rep.tier_restore_seconds[tier_idx] +=
-                cost.restoreCriticalSeconds();
-            begin_outage(detection_s, cost.totalSeconds(),
-                         &rep.spare_swap_seconds);
+            const CostBreakdown &cost = sim_.recoveryCost(req);
+            tier_restore_s += cost.restoreCriticalSeconds();
+            beginOutage(&rep_.spare_swap_seconds, detection_s,
+                        cost.totalSeconds());
             return;
         }
-        if (pol.mode == RecoveryMode::WarmSpare && pol.allow_dp_shrink &&
-            dp_now > 1 && canShrinkTo(dp_now - 1)) {
-            --dp_now;
-            ++rep.dp_shrinks;
-            double shrink_s = shrinkSecondsTo(dp_now);
-            if (tier == CheckpointTier::HbmPeer) {
-                shrink_s = shrinkHbmSecondsTo(dp_now);
-                ++rep.partial_restarts;
-            }
-            rep.tier_restore_seconds[tier_idx] +=
-                shrink_s - pol.swap_reinit_seconds;
-            begin_outage(detection_s, shrink_s, &rep.shrink_seconds);
+        if (canShrink()) {
+            --dp_now_;
+            ++rep_.dp_shrinks;
+            req.kind = RecoveryCostRequest::Kind::Shrink;
+            req.to_dp = dp_now_;
+            req.restore_tier = tier;
+            const double shrink_s = sim_.recoveryCost(req).totalSeconds();
+            tier_restore_s += shrink_s - pol_.swap_reinit_seconds;
+            beginOutage(&rep_.shrink_seconds, detection_s, shrink_s);
             return;
         }
-        ++rep.restarts;
+        ++rep_.restarts;
         const double load_s = tier == CheckpointTier::HostLocal
-                                  ? checkpointCostsAt(dp_now).nvme_read
-                                  : checkpointCostsAt(dp_now).load;
-        rep.tier_restore_seconds[tier_idx] += load_s;
-        begin_outage(detection_s, cfg_.restart.reinit_seconds + load_s,
-                     &rep.restart_seconds);
-    };
+                                  ? ckpt().nvmeRestoreSeconds()
+                                  : ckpt().loadSeconds();
+        tier_restore_s += load_s;
+        beginOutage(&rep_.restart_seconds, detection_s,
+                    cfg_.restart.reinit_seconds + load_s);
+    }
 
-    /** Pure pause (straggler localization + rebalance push): charged to
-     *  detection, no recovery work, no warmup. */
-    const auto begin_pause = [&](double pause_s) {
-        rep.detection_seconds += pause_s;
-        outage_rest_s = 0.0;
-        outage_bucket = &rep.restart_seconds;
-        down = true;
-        paused = true;
-        running = false;
-        resume_at = eng.now() + secondsToTime(pause_s);
-        resume_event = eng.schedule(secondsToTime(pause_s), [&]() {
-            down = false;
-            paused = false;
-            schedule_step();
-        });
-    };
-
-    /** DP-regrow outage: NCCL re-init at the larger world + the
-     *  re-admitted replica gathering state from peers. Modeled as a
-     *  pause — nothing is rolled back (the replica pulls live state,
-     *  tentative/pending work survives), so a fatal fault mid-regrow
-     *  takes the paused path: refund the tail, roll back, recover. */
-    const auto begin_regrow = [&](double regrow_s) {
-        rep.regrow_seconds += regrow_s;
-        outage_rest_s = regrow_s;
-        outage_bucket = &rep.regrow_seconds;
-        warmup_left = cfg_.restart.warmup_steps;
-        down = true;
-        paused = true;
-        running = false;
-        resume_at = eng.now() + secondsToTime(regrow_s);
-        resume_event = eng.schedule(secondsToTime(regrow_s), [&]() {
-            down = false;
-            paused = false;
-            schedule_step();
-        });
-    };
-
-    /** Migrate-home outage of displaced ranks: NCCL re-init + a
-     *  pod-local state re-gather, charged to displacement_seconds.
-     *  Same pause semantics as a regrow (nothing is rolled back). */
-    const auto begin_migration = [&](double mig_s) {
-        rep.displacement_seconds += mig_s;
-        outage_rest_s = mig_s;
-        outage_bucket = &rep.displacement_seconds;
-        warmup_left = cfg_.restart.warmup_steps;
-        down = true;
-        paused = true;
-        running = false;
-        resume_at = eng.now() + secondsToTime(mig_s);
-        resume_event = eng.schedule(secondsToTime(mig_s), [&]() {
-            down = false;
-            paused = false;
-            schedule_step();
-        });
-    };
-
-    /** Consume completed repairs at a durable checkpoint boundary.
-     *  Migration first: a repair in a displaced rank's home pod lets
-     *  it move back onto the repaired host, ending the spine penalty
-     *  and returning its cross-pod spare to the pool. (The repair shop
-     *  does not track pod identity, so any ready repair stands in for
-     *  "the victim's pod has a healthy host again" — the shop repairs
-     *  the host that actually broke.) Then refill the warm-spare pool
-     *  (a refill is free — the host parks warm), then batch every
-     *  remaining ready host into one DP-regrow priced at the target
-     *  width, so a single re-init amortizes all re-admissions. Returns
-     *  true when an outage was started (the caller must not schedule a
-     *  step — the resume will). */
-    const auto maybe_reexpand = [&]() {
-        if (finished || truncated || down || finishing || evict_rank >= 0)
-            return false;
-        if (placement_aware && pol.placement_migration && displaced > 0 &&
-            repair_shop.hasReady(eng.now())) {
-            while (displaced > 0 && repair_shop.hasReady(eng.now())) {
-                repair_shop.pop();
-                ++rep.hosts_repaired;
-                --displaced;
-                ++rep.placement_migrations;
-                ++spares_left;
-                spare_pool.refill();
-            }
-            begin_migration(migrateHomeSeconds());
-            return true;
+    /** Continue from a durable checkpoint boundary, the batching point
+     *  for completed repairs. Migration first: a repair in a displaced
+     *  rank's home pod lets it move back onto the repaired host, ending
+     *  the spine penalty and returning its cross-pod spare to the pool.
+     *  (The repair shop does not track pod identity, so any ready
+     *  repair stands in for "the victim's pod has a healthy host
+     *  again" — the shop repairs the host that actually broke.) Then
+     *  refill the warm-spare pool (a refill is free — the host parks
+     *  warm), then batch every remaining ready host into one DP-regrow
+     *  priced at the target width, so a single re-init amortizes all
+     *  re-admissions. Steps resume after that outage, or right away. */
+    void resume()
+    {
+        RecoveryCostRequest req;
+        if (pol_.placement_migration && displaced_ > 0 &&
+            repair_shop_.hasReady(eng_.now())) {
+            do {
+                repair_shop_.pop();
+                ++rep_.hosts_repaired;
+                --displaced_;
+                ++rep_.placement_migrations;
+                spare_pool_.refill();
+            } while (displaced_ > 0 && repair_shop_.hasReady(eng_.now()));
+            req.kind = RecoveryCostRequest::Kind::MigrateHome;
+            beginOutage(&rep_.displacement_seconds, 0.0,
+                        sim_.recoveryCost(req).totalSeconds());
+            return;
         }
-        if (!pol.allow_regrow)
-            return false;
         std::int64_t grew = 0;
-        while (repair_shop.hasReady(eng.now())) {
-            const bool pool_low = spares_left < pol.spare_hosts;
-            const bool dp_low = dp_now + grew < cfg_.job.par.dp;
+        while (pol_.allow_regrow && repair_shop_.hasReady(eng_.now())) {
+            const bool pool_low = spare_pool_.available() < pol_.spare_hosts;
+            const bool dp_low = dp_now_ + grew < cfg_.job.par.dp;
             if (!pool_low && !dp_low)
                 break; // fully re-expanded; repairs wait for demand
             // One repaired host unlocks one re-admission: a shrink or
             // swap leaves exactly one broken host (the healthy rest of
             // the dropped replica's group parks with it).
-            repair_shop.pop();
-            ++rep.hosts_repaired;
-            if (pool_low && (pol.regrow_spares_first || !dp_low)) {
-                ++spares_left;
-                if (placement_aware)
-                    spare_pool.refill();
-            } else {
-                ++grew;
-            }
-        }
-        if (grew == 0)
-            return false;
-        dp_now += grew;
-        rep.dp_regrows += grew;
-        begin_regrow(regrowSecondsTo(dp_now));
-        return true;
-    };
-
-    const auto truncate_now = [&]() {
-        if (wait != AsyncWait::None) {
-            rep.drain_stall_seconds +=
-                timeToSeconds(eng.now() - stall_started);
-            wait = AsyncWait::None;
-        }
-        if (running) {
-            eng.cancel(work_event);
-            rep.lost_seconds += timeToSeconds(
-                eng.now() - (in_checkpoint ? ckpt_started : step_started));
-            running = false;
-        }
-        if (down)
-            refund_outage();
-        rollback();
-        truncated = true;
-        stopped_at = eng.now();
-    };
-
-    start_snapshot = [&]() {
-        in_checkpoint = true;
-        ckpt_started = eng.now();
-        running = true;
-        const double snap_s = checkpointCostsAt(dp_now).snapshot;
-        work_event = eng.schedule(secondsToTime(snap_s), [&, snap_s]() {
-            // Snapshot landed in host DRAM: the steps it covers move to
-            // the pending (snapshotted, not yet durable) stage and the
-            // filesystem drain starts in the background. With tiers the
-            // snapshot also supersedes the local-tier coverage.
-            rep.checkpoint_seconds += snap_s;
-            pending_steps += done_since_ckpt + local_steps + nv_steps;
-            pending_base_s +=
-                tentative_base_s + local_base_s + nv_base_s;
-            pending_extra_s +=
-                tentative_extra_s + local_extra_s + nv_extra_s;
-            done_since_ckpt = 0;
-            tentative_base_s = 0.0;
-            tentative_extra_s = 0.0;
-            local_steps = 0;
-            local_base_s = 0.0;
-            local_extra_s = 0.0;
-            nv_steps = 0;
-            nv_base_s = 0.0;
-            nv_extra_s = 0.0;
-            running = false;
-            in_checkpoint = false;
-            drain_active = true;
-            const double drain_s = checkpointCostsAt(dp_now).drain;
-            drain_event = eng.schedule(secondsToTime(drain_s),
-                                       [&]() { on_drain_done(); });
-            if (finishing || evict_rank >= 0) {
-                // Durability is on the critical path: block for the
-                // drain instead of overlapping it with steps.
-                wait = AsyncWait::Final;
-                stall_started = eng.now();
-            } else if (!maybe_reexpand()) {
-                // The snapshot boundary is the batching point for
-                // migrating displaced ranks home and re-admitting
-                // repaired hosts (durable state to regrow from is the
-                // previous drained checkpoint; the replica gathers the
-                // rest from live peers).
-                schedule_step();
-            }
-        });
-    };
-
-    on_drain_done = [&]() {
-        if (finished || truncated)
-            return;
-        drain_active = false;
-        committed += pending_steps;
-        rep.productive_seconds += pending_base_s;
-        rep.degraded_seconds += pending_extra_s;
-        pending_steps = 0;
-        pending_base_s = 0.0;
-        pending_extra_s = 0.0;
-        if (wait == AsyncWait::Snapshot) {
-            rep.drain_stall_seconds +=
-                timeToSeconds(eng.now() - stall_started);
-            wait = AsyncWait::None;
-            start_snapshot();
-            return;
-        }
-        if (wait == AsyncWait::Final) {
-            rep.drain_stall_seconds +=
-                timeToSeconds(eng.now() - stall_started);
-            wait = AsyncWait::None;
-            if (finishing) {
-                finished = true;
-                running = false;
-                stopped_at = eng.now();
-                return;
-            }
-            if (evict_rank >= 0) {
-                const std::int64_t victim = topo.nodeOf(evict_rank);
-                stragglers.erase(evict_rank);
-                evict_rank = -1;
-                // An eviction removes one GPU deliberately — same blast
-                // radius as a GpuFatal for tier selection.
-                begin_recovery(cfg_.detection.straggler_analysis_seconds,
-                               restore_tier(BlastRadius::Gpu), victim);
-            }
-        }
-    };
-
-    /** Async checkpoint entry: the single host snapshot buffer forces a
-     *  stall while the previous drain is still writing it out. */
-    const auto request_snapshot = [&]() {
-        if (drain_active) {
-            wait = AsyncWait::Snapshot;
-            stall_started = eng.now();
-            running = false;
-            return;
-        }
-        start_snapshot();
-    };
-
-    const auto finish = [&]() {
-        // The run always ends by making the final steps durable.
-        finishing = true;
-        if (async) {
-            request_snapshot();
-            return;
-        }
-        in_checkpoint = true;
-        ckpt_started = eng.now();
-        running = true;
-        const double save_s = checkpointCostsAt(dp_now).save;
-        work_event = eng.schedule(secondsToTime(save_s), [&, save_s]() {
-            commit(save_s);
-            finished = true;
-            running = false;
-            stopped_at = eng.now();
-        });
-    };
-
-    /** Straggler localized: rebalance if the policy allows and the DP
-     *  peers have the memory headroom to absorb the shifted
-     *  micro-batches; otherwise checkpoint and evict. */
-    const auto handle_detected = [&](std::int64_t detected) {
-        auto &st = stragglers[detected];
-        if (pol.straggler_rebalance && st.speed > 0.0 && st.speed < 1.0 &&
-            dp_now > 1) {
-            const double degraded_ratio =
-                degradedStepSeconds(detected, st.speed) / base_step_s;
-            const RebalancePlan plan = planMicrobatchRebalance(
-                st.speed, dp_now - 1, stepReportAtDp(dp_now).nmb,
-                rebalanceHeadroomMicrobatches(detected, dp_now));
-            if (plan.feasible &&
-                plan.residual_multiplier <= pol.rebalance_max_residual &&
-                plan.residual_multiplier < degraded_ratio) {
-                st.mitigated = true;
-                st.residual = plan.residual_multiplier;
-                ++rep.rebalances;
-                begin_pause(cfg_.detection.straggler_analysis_seconds +
-                            pol.rebalance_seconds);
-                return;
-            }
-        }
-        // Orderly maintenance restart: make progress durable first (no
-        // lost work), then evict the culprit through the recovery path.
-        if (async) {
-            evict_rank = detected;
-            request_snapshot();
-            return;
-        }
-        in_checkpoint = true;
-        ckpt_started = eng.now();
-        running = true;
-        const double save_s = checkpointCostsAt(dp_now).save;
-        work_event =
-            eng.schedule(secondsToTime(save_s), [&, save_s, detected]() {
-                commit(save_s);
-                stragglers.erase(detected);
-                begin_recovery(cfg_.detection.straggler_analysis_seconds,
-                               restore_tier(BlastRadius::Gpu),
-                               topo.nodeOf(detected));
-            });
-    };
-
-    schedule_step = [&]() {
-        running = false;
-        if (finished || truncated || down || wait != AsyncWait::None)
-            return;
-        if (eng.now() > wall_limit) {
-            truncate_now();
-            return;
-        }
-        if (tiered && steps_done() >= cfg_.total_steps) {
-            // A local-tier rollback can leave every remaining step
-            // already covered (only the tentative tail was lost); no
-            // step completion will fire again, so finish from here.
-            finish();
-            return;
-        }
-        step_len_s = current_step_seconds();
-        step_started = eng.now();
-        in_checkpoint = false;
-        running = true;
-        work_event = eng.schedule(secondsToTime(step_len_s), [&]() {
-            // Step completed.
-            ++done_since_ckpt;
-            tentative_base_s += base_step_s;
-            tentative_extra_s += step_len_s - base_step_s;
-            if (warmup_left > 0)
-                --warmup_left;
-            // Straggler detection accumulates evidence one degraded step
-            // at a time; mitigated stragglers are already handled.
-            // Lowest rank wins ties — explicit even though the ordered
-            // map already iterates by rank, so the policy survives a
-            // container change.
-            std::int64_t detected = -1;
-            for (auto &[rank, st] : stragglers) {
-                if (st.mitigated)
-                    continue;
-                --st.steps_to_detect;
-                if (st.steps_to_detect <= 0 &&
-                    (detected < 0 || rank < detected))
-                    detected = rank;
-            }
-            if (steps_done() >= cfg_.total_steps) {
-                finish();
-                return;
-            }
-            if (detected >= 0) {
-                handle_detected(detected);
-                return;
-            }
-            if (done_since_ckpt >= interval_steps) {
-                if (tiered) {
-                    // Hierarchical boundary: always block for the HBM
-                    // peer mirror, fold NVMe on its cadence, and run the
-                    // global (sync save / async snapshot) machinery on
-                    // its own cadence. The counter advances only when
-                    // the write *completes*, so a fault mid-boundary
-                    // retries the same (possibly global) boundary
-                    // instead of sliding the cadence.
-                    const bool global_b =
-                        (ckpt_boundary + 1) % hier.global_every == 0;
-                    const bool nvme_b =
-                        global_b ||
-                        (ckpt_boundary + 1) % hier.nvme_every == 0;
-                    in_checkpoint = true;
-                    ckpt_started = eng.now();
-                    running = true;
-                    const CkptCosts &costs = checkpointCostsAt(dp_now);
-                    const double local_s =
-                        costs.hbm_write +
-                        (nvme_b ? costs.nvme_write : 0.0);
-                    work_event = eng.schedule(
-                        secondsToTime(local_s),
-                        [&, local_s, nvme_b, global_b]() {
-                            ++ckpt_boundary;
-                            rep.checkpoint_seconds += local_s;
-                            // The fresh mirror covers the tentative tail.
-                            local_steps += done_since_ckpt;
-                            local_base_s += tentative_base_s;
-                            local_extra_s += tentative_extra_s;
-                            done_since_ckpt = 0;
-                            tentative_base_s = 0.0;
-                            tentative_extra_s = 0.0;
-                            if (nvme_b) {
-                                nv_steps += local_steps;
-                                nv_base_s += local_base_s;
-                                nv_extra_s += local_extra_s;
-                                local_steps = 0;
-                                local_base_s = 0.0;
-                                local_extra_s = 0.0;
-                            }
-                            running = false;
-                            in_checkpoint = false;
-                            if (!global_b) {
-                                schedule_step();
-                                return;
-                            }
-                            if (async) {
-                                request_snapshot();
-                                return;
-                            }
-                            // Synchronous global save on top.
-                            in_checkpoint = true;
-                            ckpt_started = eng.now();
-                            running = true;
-                            const double save_s =
-                                checkpointCostsAt(dp_now).save;
-                            work_event = eng.schedule(
-                                secondsToTime(save_s), [&, save_s]() {
-                                    commit(save_s);
-                                    if (!maybe_reexpand())
-                                        schedule_step();
-                                });
-                        });
-                    return;
-                }
-                if (async) {
-                    request_snapshot();
-                    return;
-                }
-                // Synchronous sharded save.
-                in_checkpoint = true;
-                ckpt_started = eng.now();
-                running = true;
-                const double save_s = checkpointCostsAt(dp_now).save;
-                work_event =
-                    eng.schedule(secondsToTime(save_s), [&, save_s]() {
-                        commit(save_s);
-                        // The durable boundary batches migrations home
-                        // and re-admission of repaired hosts (amortizes
-                        // the re-init).
-                        if (!maybe_reexpand())
-                            schedule_step();
-                    });
-                return;
-            }
-            schedule_step();
-        });
-    };
-
-    on_fault = [&](const FaultEvent &ev) {
-        if (finished || truncated)
-            return; // queue drains; no further faults are pulled
-        if (eng.now() > wall_limit) {
-            truncate_now();
-            return;
-        }
-        switch (ev.kind) {
-          case FaultKind::GpuFatal:
-          case FaultKind::HostCrash: {
-            if (ev.kind == FaultKind::GpuFatal)
-                ++rep.faults.gpu_fatal;
+            repair_shop_.pop();
+            ++rep_.hosts_repaired;
+            if (pool_low)
+                spare_pool_.refill();
             else
-                ++rep.faults.host_crash;
-            // Into the shop unconditionally — see the policy-invariance
-            // note at the RepairModel's construction.
-            repair_shop.submit(ev);
-            // A replaced GPU/host also cures any straggler it hosted.
-            if (ev.kind == FaultKind::GpuFatal) {
-                stragglers.erase(ev.component);
-            } else {
-                for (auto it = stragglers.begin();
-                     it != stragglers.end();) {
-                    if (topo.nodeOf(it->first) == ev.component)
-                        it = stragglers.erase(it);
-                    else
-                        ++it;
-                }
-            }
-            if (down) {
-                // Back-to-back failure while recovering (e.g. the
-                // replacement host dies too): the old outage's un-elapsed
-                // tail never happens — refund it and recover from scratch.
-                // A rebalance pause / regrow is not a recovery outage:
-                // nothing was rolled back when it began and a drain may
-                // still be writing; a plain recovery outage already
-                // rolled back, so the rollback below is a no-op for it.
-                refund_outage();
-                paused = false;
-            } else {
-                if (wait != AsyncWait::None) {
-                    // Stalled on a drain that now dies with the host
-                    // state: the elapsed stall is real wall time, the
-                    // durability it was waiting for never arrives.
-                    rep.drain_stall_seconds +=
-                        timeToSeconds(eng.now() - stall_started);
-                    wait = AsyncWait::None;
-                }
-                if (running) {
-                    eng.cancel(work_event);
-                    const double elapsed = timeToSeconds(
-                        eng.now() - (in_checkpoint ? ckpt_started
-                                                   : step_started));
-                    // Partial step work and a non-durable save are lost.
-                    rep.lost_seconds += elapsed;
-                    running = false;
-                }
-            }
-            // Select the newest restore point whose surviving copies
-            // cover what this fault destroyed, roll back only the work
-            // that restore point does not cover, and dispatch.
-            const BlastRadius radius = faultBlastRadius(ev.kind);
-            if (tiered && radius == BlastRadius::Host)
-                ++rep.tier_fallbacks;
-            const CheckpointTier tier = restore_tier(radius);
-            LLM4D_AUDIT_CHECK(
-                "sim", tierSurvives(tier, radius),
-                "restore tier " << toString(tier)
-                                << " does not survive a "
-                                << toString(radius) << " blast radius ("
-                                << toString(ev.kind) << ")");
-            rollback_to_tier(tier);
-            // FaultEvent.component is a node index for HostCrash and a
-            // GPU rank otherwise.
-            const std::int64_t victim_host =
-                ev.kind == FaultKind::HostCrash ? ev.component
-                                                : topo.nodeOf(ev.component);
-            begin_recovery(cfg_.detection.fatalDetectionSeconds(), tier,
-                           victim_host);
-            break;
-          }
-          case FaultKind::StragglerOnset: {
-            ++rep.faults.stragglers;
-            ActiveStraggler st;
-            st.speed = ev.severity;
-            st.steps_to_detect = stragglerDetectionSteps(
-                ev.severity, cfg_.detection.straggler);
-            const auto it = stragglers.find(ev.component);
-            if (it == stragglers.end()) {
-                stragglers[ev.component] = st;
-            } else {
-                const StragglerOnsetMerge merge = mergeStragglerOnset(
-                    it->second.speed, it->second.steps_to_detect,
-                    it->second.mitigated, ev.severity,
-                    st.steps_to_detect);
-                if (merge.reset_mitigation)
-                    it->second = ActiveStraggler{};
-                it->second.speed = merge.speed;
-                it->second.steps_to_detect = merge.steps_to_detect;
-            }
-            break;
-          }
-          case FaultKind::LinkFlap: {
-            ++rep.faults.link_flaps;
-            ActiveFlap flap;
-            flap.until = ev.when + ev.duration;
-            flap.multiplier = ev.severity;
-            const auto it = flaps.find(ev.component);
-            if (it == flaps.end() || flap.until > it->second.until)
-                flaps[ev.component] = flap;
-            eng.scheduleAt(flap.until, [&, rank = ev.component]() {
-                const auto fit = flaps.find(rank);
-                if (fit != flaps.end() && fit->second.until <= eng.now())
-                    flaps.erase(fit);
-            });
-            break;
-          }
+                ++grew;
         }
-    };
-
-    // Pull-based fault stream: exactly one fault event is in the queue at
-    // a time; consuming it schedules the next, so the timeline is a pure
-    // function of the seed no matter how long the run takes.
-    std::function<void()> pump_fault;
-    if (has_faults) {
-        pump_fault = [&]() {
-            const FaultEvent ev = faults.next();
-            eng.scheduleAt(std::max(ev.when, eng.now()), [&, ev]() {
-                if (finished || truncated)
-                    return;
-                rep.timeline.push_back(ev);
-                on_fault(ev);
-                pump_fault();
-            });
-        };
-        pump_fault();
+        if (grew == 0) {
+            scheduleStep();
+            return;
+        }
+        dp_now_ += grew;
+        rep_.dp_regrows += grew;
+        // Nothing is rolled back: the re-admitted replica pulls live
+        // state from its peers, so tentative/pending work survives.
+        req.kind = RecoveryCostRequest::Kind::Regrow;
+        req.to_dp = dp_now_;
+        beginOutage(&rep_.regrow_seconds, 0.0,
+                    sim_.recoveryCost(req).totalSeconds());
     }
 
-    schedule_step();
-    eng.run();
+    /** Charge the elapsed part of a drain stall as real wall time. */
+    void settleStall()
+    {
+        if (wait_ == AsyncWait::None)
+            return;
+        rep_.drain_stall_seconds += timeToSeconds(eng_.now() - stall_started_);
+        wait_ = AsyncWait::None;
+    }
 
-    rep.completed = finished && !truncated;
-    rep.steps_committed = committed;
-    rep.final_dp = dp_now;
-    // The engine clock can drift past the end while draining a trailing
-    // (ignored) fault event; the recorded stop time is the true wall.
-    rep.wall_seconds = timeToSeconds(
-        (finished || truncated) ? stopped_at : eng.now());
+    /**
+     * Abort whatever the run is doing right now: a drain stall ends
+     * (the durability it waited for may never arrive), an in-flight
+     * step or non-durable write is lost, and the un-elapsed tail of an
+     * outage is refunded (the recovery it paid for never happens). At
+     * most one of the three is in progress.
+     */
+    void abortInFlight()
+    {
+        settleStall();
+        if (running_) {
+            eng_.cancel(work_event_);
+            rep_.lost_seconds += timeToSeconds(eng_.now() - work_started_);
+            running_ = false;
+        }
+        if (down_) {
+            eng_.cancel(resume_event_);
+            const double remaining = timeToSeconds(resume_at_ - eng_.now());
+            const double rest_part = std::min(remaining, outage_rest_s_);
+            *outage_bucket_ -= rest_part;
+            rep_.detection_seconds -= remaining - rest_part;
+            down_ = false;
+        }
+    }
+
+    /**
+     * Roll back to the restore point of @p tier. Global destroys all
+     * non-durable work, including a snapshot whose drain has not
+     * finished. The local tiers keep more: the drain (a host-side
+     * checkpoint daemon writing from host DRAM) keeps running across
+     * GPU-level faults and even process restarts, so pending and
+     * NVMe-covered work survive; HbmPeer additionally keeps the
+     * HBM-mirror-covered steps (survivor processes stay live), losing
+     * only the tentative tail.
+     */
+    void rollbackTo(CheckpointTier tier)
+    {
+#if LLM4D_AUDIT_ENABLED
+        const std::int64_t audit_committed = ledger_[Rung::Committed].steps;
+        const std::int64_t audit_executed = ledger_.steps() + rep_.steps_lost;
+#endif
+        if (tier == CheckpointTier::Global && drain_active_) {
+            eng_.cancel(drain_event_);
+            drain_active_ = false;
+        }
+        const auto [steps, seconds] = ledger_.dropNewerThan(
+            kRestorePoint[static_cast<std::size_t>(tier)]);
+        rep_.lost_seconds += seconds;
+        rep_.steps_lost += steps;
+        // A pending finish/eviction referred to steps just rolled back;
+        // the re-executed steps must re-trigger it, or a later routine
+        // snapshot would terminate the run early.
+        finishing_ = false;
+        evict_rank_ = -1;
+        LLM4D_AUDIT_CHECK("sim",
+                          ledger_[Rung::Committed].steps == audit_committed,
+                          "rollback changed durable progress: "
+                              << audit_committed << " -> "
+                              << ledger_[Rung::Committed].steps
+                              << " committed steps");
+        LLM4D_AUDIT_CHECK("sim",
+                          ledger_.steps() + rep_.steps_lost == audit_executed,
+                          "rollback lost-step ledger off: "
+                              << ledger_.steps() << " kept + "
+                              << rep_.steps_lost << " lost != "
+                              << audit_executed << " executed");
+    }
+
+    /** End the run as incomplete once past the wall-clock limit. */
+    bool truncateIfLate()
+    {
+        if (eng_.now() <= wall_limit_)
+            return false;
+        abortInFlight();
+        rollbackTo(CheckpointTier::Global);
+        truncated_ = true;
+        stopped_at_ = eng_.now();
+        return true;
+    }
+
+    void pumpFault()
+    {
+        next_fault_ = faults_.next();
+        eng_.scheduleAt(std::max(next_fault_.when, eng_.now()), [this] {
+            if (finished_ || truncated_)
+                return; // queue drains; no further faults are pulled
+            const FaultEvent ev = next_fault_;
+            rep_.timeline.push_back(ev);
+            onFault(ev);
+            pumpFault();
+        });
+    }
+
+    void onFault(const FaultEvent &ev)
+    {
+        if (truncateIfLate())
+            return;
+        switch (ev.kind) {
+          case FaultKind::GpuFatal:
+          case FaultKind::HostCrash:
+            onFatal(ev);
+            break;
+          case FaultKind::StragglerOnset:
+            onStragglerOnset(ev);
+            break;
+          case FaultKind::LinkFlap:
+            onLinkFlap(ev);
+            break;
+        }
+    }
+
+    void onFatal(const FaultEvent &ev)
+    {
+        const bool host_crash = ev.kind == FaultKind::HostCrash;
+        ++(host_crash ? rep_.faults.host_crash : rep_.faults.gpu_fatal);
+        // Into the shop unconditionally — see the policy-invariance
+        // note at the RepairModel's construction.
+        repair_shop_.submit(ev);
+        // A replaced GPU/host also cures any straggler it hosted.
+        // FaultEvent.component is a node index for HostCrash and a GPU
+        // rank otherwise.
+        if (host_crash) {
+            std::erase_if(stragglers_, [&](const auto &entry) {
+                return topo_.nodeOf(entry.first) == ev.component;
+            });
+        } else {
+            stragglers_.erase(ev.component);
+        }
+        // A back-to-back failure while recovering (e.g. the replacement
+        // host dies too) refunds the old outage and recovers from
+        // scratch. A rebalance pause / regrow / migration is not a
+        // recovery outage: nothing was rolled back when it began and a
+        // drain may still be writing, so the rollback below matters;
+        // after a plain recovery outage it has nothing left to drop.
+        abortInFlight();
+        // Select the newest restore point whose surviving copies cover
+        // what this fault destroyed, roll back only the work that
+        // restore point does not cover, and dispatch.
+        const BlastRadius radius = faultBlastRadius(ev.kind);
+        if (tiered_ && radius == BlastRadius::Host)
+            ++rep_.tier_fallbacks;
+        const CheckpointTier tier = restoreTier(radius);
+        LLM4D_AUDIT_CHECK("sim", tierSurvives(tier, radius),
+                          "restore tier "
+                              << toString(tier) << " does not survive a "
+                              << toString(radius) << " blast radius ("
+                              << toString(ev.kind) << ")");
+        rollbackTo(tier);
+        beginRecovery(cfg_.detection.fatalDetectionSeconds(), tier,
+                      host_crash ? ev.component
+                                 : topo_.nodeOf(ev.component));
+    }
+
+    void onStragglerOnset(const FaultEvent &ev)
+    {
+        ++rep_.faults.stragglers;
+        const std::int64_t steps_to_detect =
+            stragglerDetectionSteps(ev.severity, cfg_.detection.straggler);
+        const auto [it, fresh] = stragglers_.try_emplace(
+            ev.component, ActiveStraggler{ev.severity, steps_to_detect});
+        if (fresh)
+            return;
+        const StragglerOnsetMerge merge = mergeStragglerOnset(
+            it->second.speed, it->second.steps_to_detect,
+            it->second.mitigated, ev.severity, steps_to_detect);
+        if (merge.reset_mitigation)
+            it->second = ActiveStraggler{};
+        it->second.speed = merge.speed;
+        it->second.steps_to_detect = merge.steps_to_detect;
+    }
+
+    void onLinkFlap(const FaultEvent &ev)
+    {
+        ++rep_.faults.link_flaps;
+        const ActiveFlap flap{ev.when + ev.duration, ev.severity};
+        const auto it = flaps_.find(ev.component);
+        if (it == flaps_.end() || flap.until > it->second.until)
+            flaps_[ev.component] = flap;
+        eng_.scheduleAt(flap.until, [this, rank = ev.component] {
+            const auto fit = flaps_.find(rank);
+            if (fit != flaps_.end() && fit->second.until <= eng_.now())
+                flaps_.erase(fit);
+        });
+    }
+
+    const TrainRunSim &sim_;
+    const TrainRunConfig &cfg_;
+    const RecoveryPolicy &pol_;
+    const std::int64_t interval_steps_;
+    const bool async_;
+    const bool tiered_;
+    const double base_step_s_;
+    const Time wall_limit_;
+
+    FaultModel faults_;
+    RepairModel repair_shop_;
+    const Topology topo_;
+    SparePool spare_pool_;
+    Engine eng_;
+    TrainRunReport rep_;
+    CoverageLedger ledger_;
+    // Ordered maps on purpose: both are iterated by event handlers, and
+    // deterministic (rank-ordered) iteration is part of the engine's
+    // bit-reproducibility contract — the nondeterminism lint rejects
+    // unordered-container iteration in event-scheduling files.
+    std::map<std::int64_t, ActiveFlap> flaps_;           // by NIC/rank
+    std::map<std::int64_t, ActiveStraggler> stragglers_; // by rank
+    FaultEvent next_fault_;    ///< the one queued fault event
+
+    std::int64_t ckpt_boundary_ = 0; ///< cadence counter, never rolled back
+    std::int64_t dp_now_;            ///< shrinks are persistent
+    std::int64_t displaced_ = 0;     ///< ranks running on cross-pod spares
+    std::int64_t warmup_left_ = 0;
+    std::int64_t evict_rank_ = -1;   ///< straggler awaiting durable evict
+    bool running_ = false;   ///< a step or checkpoint write is in flight
+    bool down_ = false;      ///< an outage is in progress
+    bool finished_ = false;
+    bool finishing_ = false; ///< all steps done; final durability pending
+    bool truncated_ = false;
+    bool drain_active_ = false;
+    AsyncWait wait_ = AsyncWait::None;
+    Write write_ = Write::Save;  ///< the in-flight write
+    double write_s_ = 0.0;       ///< its blocking seconds
+    double step_len_s_ = 0.0;    ///< duration of the in-flight step
+    Time work_started_ = 0;      ///< start of the in-flight step/write
+    Time stall_started_ = 0;
+    Time stopped_at_ = 0;        ///< clock when the run ended (either way)
+    EventId work_event_ = 0;     ///< pending step/write completion
+    EventId drain_event_ = 0;
+    EventId resume_event_ = 0;   ///< pending service restoration
+    Time resume_at_ = 0;         ///< when that restoration fires
+    double outage_rest_s_ = 0.0; ///< recovery part of the outage
+    double *outage_bucket_ = nullptr; ///< where it was charged
+};
+
+TrainRunReport
+TrainRunSim::runWithInterval(std::int64_t interval_steps) const
+{
+    LLM4D_CHECK(interval_steps > 0, "checkpoint interval must be positive");
+    TrainRunReport rep = RunState(*this, interval_steps).run();
+    rep.base_tflops_per_gpu = base_.tflops_per_gpu;
+    rep.ideal_seconds =
+        static_cast<double>(cfg_.total_steps) * base_.step_seconds;
     rep.goodput_tflops_per_gpu =
         rep.wall_seconds > 0.0
             ? flops_per_gpu_step_ *

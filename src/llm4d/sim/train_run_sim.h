@@ -54,6 +54,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -367,7 +368,11 @@ struct IntervalScanPoint
     double goodput_tflops_per_gpu = 0.0;
 };
 
-/** Simulates whole training runs for one job configuration. */
+/**
+ * Simulates whole training runs for one job configuration. run() and
+ * the other const members fill internal pricing caches, so one instance
+ * must not run on two threads at once; use one instance per thread.
+ */
 class TrainRunSim
 {
   public:
@@ -420,19 +425,8 @@ class TrainRunSim
     [[nodiscard]] const RecoveryCostModel &recovery() const { return recovery_; }
 
   private:
-    /** Blocking/overlapped checkpoint costs at one DP degree. */
-    struct CkptCosts
-    {
-        double save = 0.0;
-        double snapshot = 0.0;
-        double drain = 0.0;
-        double load = 0.0;
-        /** Hierarchical-tier costs; 0 unless storage.hier.enabled. */
-        double hbm_write = 0.0;
-        double hbm_read = 0.0;
-        double nvme_write = 0.0;
-        double nvme_read = 0.0;
-    };
+    /** One run's state and event handlers (train_run_sim.cc). */
+    class RunState;
 
     /**
      * Step seconds with the whole active-straggler set @p active
@@ -447,48 +441,25 @@ class TrainRunSim
     double degradedStepSeconds(
         const std::vector<std::pair<std::int64_t, double>> &active) const;
 
-    /** Single-straggler convenience overload (same cache). */
-    double degradedStepSeconds(std::int64_t straggler_rank,
-                               double speed) const;
-
     /** Whether the job remains valid with DP shrunk to @p dp. */
     bool canShrinkTo(std::int64_t dp) const;
 
     /** Fault-free step report at DP degree @p dp (TrainSim rerun,
-     *  cached; base_ when @p dp is the configured degree). */
+     *  cached; base_ when @p dp is the configured degree). Same global
+     *  batch, so fewer replicas -> slower steps. */
     const TrainStepReport &stepReportAtDp(std::int64_t dp) const;
-
-    /**
-     * stepReportAtDp re-priced for a degraded placement: at least one
-     * displaced rank's DP group spans the oversubscribed spine, so the
-     * step stretches by displacementSlowdown() (cached per dp).
-     */
-    const TrainStepReport &stepReportAtPlacement(std::int64_t dp) const;
 
     /** Step-time multiplier while any rank is displaced cross-pod:
      *  the NIC-bound share of the step runs at spine (1/oversub)
      *  capacity, through the same FlowSim machinery as a link flap. */
     double displacementSlowdown() const;
 
-    /** Outage of a displaced rank migrating home (cached). */
-    double migrateHomeSeconds() const;
+    /** Checkpoint pricing at DP degree @p dp (ckpt_ at the configured
+     *  degree, cached per shrunk degree). */
+    const CheckpointModel &checkpointAt(std::int64_t dp) const;
 
-    /** Fault-free step seconds at DP degree @p dp (same global batch,
-     *  so fewer replicas -> slower steps). */
-    double stepSecondsAtDp(std::int64_t dp) const;
-
-    /** Checkpoint pricing at DP degree @p dp (cached). */
-    const CkptCosts &checkpointCostsAt(std::int64_t dp) const;
-
-    /** Outage of shrinking to @p dp replicas (cached). */
-    double shrinkSecondsTo(std::int64_t dp) const;
-
-    /** Outage of a partial-restart shrink to @p dp replicas: the
-     *  restore term comes from the HBM peer tier (cached). */
-    double shrinkHbmSecondsTo(std::int64_t dp) const;
-
-    /** Outage of regrowing to @p dp replicas (cached). */
-    double regrowSecondsTo(std::int64_t dp) const;
+    /** recovery().price(@p req), cached per request. */
+    const CostBreakdown &recoveryCost(const RecoveryCostRequest &req) const;
 
     /** Activation headroom on the straggler's DP peers at the current
      *  DP degree @p dp, in units of one stage micro-batch (how many
@@ -503,17 +474,16 @@ class TrainRunSim
     double flops_per_gpu_step_ = 0.0;
 
     /** TrainSim reruns per active-straggler *set* are cached, keyed by
-     *  the sorted (representative rank, speed) vector. */
-    mutable std::map<std::vector<std::pair<std::int64_t, double>>, double>
-        degraded_cache_;
+     *  the (representative rank -> slowest speed) map. */
+    mutable std::map<std::map<std::int64_t, double>, double> degraded_cache_;
     mutable std::map<std::int64_t, TrainStepReport> shrunk_report_cache_;
-    mutable std::map<std::int64_t, TrainStepReport> displaced_report_cache_;
-    mutable std::map<std::int64_t, CkptCosts> ckpt_cost_cache_;
-    mutable std::map<std::int64_t, double> shrink_cost_cache_;
-    mutable std::map<std::int64_t, double> shrink_hbm_cost_cache_;
-    mutable std::map<std::int64_t, double> regrow_cost_cache_;
+    mutable std::map<std::int64_t, CheckpointModel> shrunk_ckpt_cache_;
+    /** Keyed by every RecoveryCostRequest field (a new field joins it). */
+    mutable std::map<std::tuple<RecoveryCostRequest::Kind, std::int64_t,
+                                CheckpointTier, NetLevel>,
+                     CostBreakdown>
+        recovery_cost_cache_;
     mutable double displacement_slowdown_ = 0.0; ///< lazily computed
-    mutable double migrate_home_seconds_ = -1.0; ///< lazily computed
 };
 
 } // namespace llm4d

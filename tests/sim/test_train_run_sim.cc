@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "llm4d/parallel/parallelism.h"
@@ -1351,6 +1352,107 @@ TEST(TrainRunSim, CorrelatedStragglersCostGoodputUnderCrn)
     }
     ASSERT_GT(seeds_with_colocation, 0)
         << "sweep too quiet to exercise the acceptance property";
+}
+
+TEST(TrainRunSim, TieredFullRestartsRestoreFromNvme)
+{
+    // A full restart tears the processes down, so under hierarchical
+    // tiers a GPU fault restores from host-local NVMe: the rollback keeps
+    // the NVMe-covered and pending work and drops only the HBM-only and
+    // tentative tail. Every restart reads NVMe once at the configured
+    // width (full restart never shrinks), and nothing reads the other
+    // tiers.
+    TrainRunConfig cfg = elastic16kConfig();
+    cfg.policy = RecoveryPolicy{};
+    cfg.storage.hier.enabled = true;
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours = 1000.0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        cfg.seed = seed;
+        const TrainRunSim sim(cfg);
+        const TrainRunReport rep = sim.run();
+        ASSERT_TRUE(rep.completed) << "seed " << seed;
+        ASSERT_GT(rep.restarts, 0) << "seed " << seed;
+        const double nvme_s = static_cast<double>(rep.restarts) *
+                              sim.checkpoint().nvmeRestoreSeconds();
+        EXPECT_NEAR(tierRestore(rep, CheckpointTier::HostLocal), nvme_s,
+                    1e-9 * nvme_s)
+            << "seed " << seed;
+        EXPECT_DOUBLE_EQ(tierRestore(rep, CheckpointTier::Global), 0.0)
+            << "seed " << seed;
+        EXPECT_DOUBLE_EQ(tierRestore(rep, CheckpointTier::HbmPeer), 0.0)
+            << "seed " << seed;
+        EXPECT_EQ(rep.tier_fallbacks, 0) << "seed " << seed;
+        EXPECT_GT(rep.steps_lost, 0) << "seed " << seed;
+    }
+}
+
+TEST(TrainRunSim, ProductiveTimeIsIdealOnEveryRecoveryPath)
+{
+    // Every committed step is credited at fault-free speed and its
+    // degradation goes to its own bucket, whichever checkpoint writes and
+    // rollbacks it passed through. The bucket-sum check cannot see base
+    // seconds leaking into degraded (or out of productive); this pins
+    // the split through every fold of the coverage ledger.
+    TrainRunConfig base = elastic16kConfig();
+    base.total_steps = 1200;
+    base.job.cluster.node.gpu.fatal_mtbf_hours = 1000.0;
+    base.job.cluster.node.host_mtbf_hours = 2000.0;
+    base.job.cluster.node.gpu.straggler_mtbf_hours = 4000.0;
+    base.job.cluster.node.nic_flap_mtbf_hours = 2000.0;
+    RecoveryPolicy regrow = RecoveryPolicy::elastic(1);
+    regrow.allow_regrow = true;
+    const std::vector<RecoveryPolicy> policies = {
+        RecoveryPolicy{}, RecoveryPolicy::elastic(1), regrow};
+    TrainRunReport seen; // path counters summed over the matrix
+    for (const CheckpointMode mode :
+         {CheckpointMode::Sync, CheckpointMode::Async}) {
+        for (const bool tiered : {false, true}) {
+            for (RecoveryPolicy policy : policies) {
+                policy.checkpoint_mode = mode;
+                policy.partial_restart = tiered && policy.allow_regrow;
+                for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                    TrainRunConfig cfg = base;
+                    cfg.storage.hier.enabled = tiered;
+                    cfg.policy = policy;
+                    cfg.seed = seed;
+                    const TrainRunReport rep = TrainRunSim(cfg).run();
+                    const std::string label =
+                        std::string(toString(mode)) + "/" +
+                        (tiered ? "tiered" : "global") + "/" +
+                        toString(policy.mode) +
+                        (policy.allow_regrow ? "+regrow" : "") + "/seed " +
+                        std::to_string(seed);
+                    ASSERT_TRUE(rep.completed) << label;
+                    EXPECT_NEAR(rep.productive_seconds, rep.ideal_seconds,
+                                1e-12 * rep.ideal_seconds)
+                        << label;
+                    seen.restarts += rep.restarts;
+                    seen.spare_swaps += rep.spare_swaps;
+                    seen.dp_shrinks += rep.dp_shrinks;
+                    seen.dp_regrows += rep.dp_regrows;
+                    seen.partial_restarts += rep.partial_restarts;
+                    seen.rebalances += rep.rebalances;
+                    seen.drain_stall_seconds += rep.drain_stall_seconds;
+                    for (std::size_t t = 0;
+                         t < seen.tier_restore_seconds.size(); ++t)
+                        seen.tier_restore_seconds[t] +=
+                            rep.tier_restore_seconds[t];
+                }
+            }
+        }
+    }
+    // The matrix must actually reach every recovery path and rung.
+    EXPECT_GT(seen.restarts, 0);
+    EXPECT_GT(seen.spare_swaps, 0);
+    EXPECT_GT(seen.dp_shrinks, 0);
+    EXPECT_GT(seen.dp_regrows, 0);
+    EXPECT_GT(seen.partial_restarts, 0);
+    EXPECT_GT(seen.rebalances, 0);
+    EXPECT_GT(seen.drain_stall_seconds, 0.0);
+    for (int t = 0; t < kNumCheckpointTiers; ++t)
+        EXPECT_GT(seen.tier_restore_seconds[static_cast<std::size_t>(t)],
+                  0.0)
+            << toString(static_cast<CheckpointTier>(t));
 }
 
 TEST(TrainRunSimDeathTest, AutoIntervalValidation)
