@@ -21,6 +21,7 @@
 #include <functional>
 #include <vector>
 
+#include "llm4d/pp/legality.h"
 #include "llm4d/pp/schedule.h"
 #include "llm4d/simcore/time.h"
 
@@ -62,9 +63,11 @@ struct OpRecord
 /** Result of executing a schedule. */
 struct ExecResult
 {
-    std::vector<OpRecord> records; ///< sorted by (start, rank, op order)
+    /** Sorted by (start, rank); each rank's ops in program order. */
+    std::vector<OpRecord> records;
     Time makespan = 0;
-    std::vector<Time> busy;        ///< per-rank total compute time
+    std::vector<Time> busy;                  ///< per-rank compute time
+    std::vector<std::int64_t> in_flight_peak; ///< per-rank peakInFlight()
 
     /** Idle-over-compute bubble ratio of one rank (paper Section 3.1.1). */
     double bubbleRatio(std::int64_t rank) const;
@@ -81,14 +84,19 @@ struct ExecResult
 
     /**
      * Peak number of simultaneously in-flight micro-batches on a rank:
-     * forwards executed minus backwards completed, maximized over time.
-     * This drives activation memory (Section 3.1.1).
+     * forwards started minus backwards completed, maximized over time
+     * (a backward ending when a forward starts frees first). This drives
+     * activation memory (Section 3.1.1).
      */
     std::int64_t peakInFlight(std::int64_t rank) const;
 };
 
 /** Execute @p schedule under @p config. Aborts on illegal schedules. */
 ExecResult executeSchedule(const Schedule &schedule,
+                           const ExecConfig &config);
+
+/** Execute an already-checked schedule; no legality pass is repeated. */
+ExecResult executeSchedule(const LegalSchedule &schedule,
                            const ExecConfig &config);
 
 } // namespace llm4d

@@ -1,6 +1,7 @@
 #include "llm4d/pp/legality.h"
 
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "llm4d/simcore/common.h"
@@ -113,6 +114,19 @@ checkSchedule(const Schedule &schedule)
         }
     }
     return {true, ""};
+}
+
+LegalSchedule::LegalSchedule(Schedule schedule)
+    : schedule_(std::move(schedule))
+{
+}
+
+LegalSchedule
+LegalSchedule::check(Schedule schedule)
+{
+    const LegalityResult legal = checkSchedule(schedule);
+    LLM4D_CHECK(legal.legal, "illegal schedule: " << legal.reason);
+    return LegalSchedule(std::move(schedule));
 }
 
 } // namespace llm4d

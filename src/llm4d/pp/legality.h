@@ -31,6 +31,25 @@ struct LegalityResult
 /** Verify structural completeness and deadlock-freedom of a schedule. */
 LegalityResult checkSchedule(const Schedule &schedule);
 
+/**
+ * A schedule that checkSchedule accepted. Only check() builds one, so
+ * holding a LegalSchedule is the proof of legality: it can be executed
+ * any number of times without being checked again.
+ */
+class LegalSchedule
+{
+  public:
+    /** Check @p schedule; aborts with the checker's reason if illegal. */
+    static LegalSchedule check(Schedule schedule);
+
+    const Schedule &schedule() const { return schedule_; }
+
+  private:
+    explicit LegalSchedule(Schedule schedule);
+
+    Schedule schedule_;
+};
+
 } // namespace llm4d
 
 #endif // LLM4D_PP_LEGALITY_H_

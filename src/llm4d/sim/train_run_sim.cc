@@ -225,7 +225,7 @@ mergeStragglerOnset(double tracked_speed,
 
 TrainRunSim::TrainRunSim(TrainRunConfig cfg)
     : cfg_(validated(std::move(cfg))),
-      base_(TrainSim(cfg_.job).run()),
+      base_sim_(cfg_.job), base_(base_sim_.run()),
       ckpt_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par, cfg_.storage),
       recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
                 cfg_.storage, cfg_.policy)
@@ -292,10 +292,10 @@ TrainRunSim::degradedStepSeconds(
             by_rep[rep] = speed;
     }
     return memoize(degraded_cache_, by_rep, [&] {
-        TrainJobConfig degraded = cfg_.job;
+        PerfVariation perf = cfg_.job.perf;
         for (const auto &[rep, speed] : by_rep)
-            degraded.perf.injectStraggler(rep, speed);
-        return std::max(TrainSim(degraded).run().step_seconds,
+            perf.injectStraggler(rep, speed);
+        return std::max(base_sim_.run(perf).step_seconds,
                         base_.step_seconds);
     });
 }

@@ -430,7 +430,8 @@ class TrainRunSim
 
     /**
      * Step seconds with the whole active-straggler set @p active
-     * ((rank, speed) pairs) injected into *one* TrainSim rerun. The
+     * ((rank, speed) pairs) injected into *one* rerun of base_sim_ (its
+     * PerfVariation changed, its masks and schedule reused). The
      * synchronized step pays the compounded cost of every slow stage at
      * once, which the old max-over-single-straggler pricing undercounted
      * whenever concurrent stragglers hit distinct PP stages. Stragglers
@@ -468,6 +469,9 @@ class TrainRunSim
                                          std::int64_t dp) const;
 
     TrainRunConfig cfg_;
+    /** Prices the fault-free step and, with a changed PerfVariation,
+     *  every straggler set (shrunk DP degrees build their own). */
+    TrainSim base_sim_;
     TrainStepReport base_;
     CheckpointModel ckpt_;
     RecoveryCostModel recovery_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "llm4d/cp/sharding.h"
 #include "llm4d/net/collective.h"
@@ -29,6 +30,32 @@ TrainStepReport::fits(double capacity_gib, double headroom) const
 
 namespace {
 
+/** @p cfg after the checks every job must pass. */
+TrainJobConfig
+validated(TrainJobConfig cfg)
+{
+    cfg.par.validate();
+    LLM4D_CHECK(cfg.par.worldSize() == cfg.cluster.numGpus(),
+                "parallelism " << cfg.par.str() << " ("
+                               << cfg.par.worldSize()
+                               << " GPUs) does not match cluster of "
+                               << cfg.cluster.numGpus());
+    LLM4D_CHECK(cfg.global_batch_tokens % cfg.seq == 0,
+                "global batch tokens must be whole sequences");
+    const std::int64_t gbs_seqs = cfg.global_batch_tokens / cfg.seq;
+    LLM4D_CHECK(gbs_seqs % cfg.par.dp == 0,
+                "global batch of " << gbs_seqs
+                                   << " sequences must divide across dp="
+                                   << cfg.par.dp);
+    LLM4D_CHECK(gbs_seqs / cfg.par.dp % cfg.mbs == 0,
+                "bs must divide into micro-batches");
+    LLM4D_CHECK(cfg.seq % (2 * cfg.par.cp) == 0,
+                "sequence must split into 2*cp chunks");
+    LLM4D_CHECK(cfg.model.heads % cfg.par.tp == 0,
+                "tp must divide attention heads");
+    return cfg;
+}
+
 StageAssignment
 makeAssignment(const TrainJobConfig &cfg, std::int64_t v)
 {
@@ -47,49 +74,33 @@ deriveVirtualStages(const TrainJobConfig &cfg)
         1, ceilDiv(per_rank, cfg.layers_per_vstage));
 }
 
-} // namespace
-
-TrainSim::TrainSim(TrainJobConfig cfg)
-    : cfg_(std::move(cfg)),
-      assignment_(makeAssignment(cfg_, deriveVirtualStages(cfg_)))
+LegalSchedule
+buildSchedule(const TrainJobConfig &cfg, std::int64_t v, std::int64_t nmb)
 {
-    cfg_.par.validate();
-    LLM4D_CHECK(cfg_.par.worldSize() == cfg_.cluster.numGpus(),
-                "parallelism " << cfg_.par.str() << " ("
-                               << cfg_.par.worldSize()
-                               << " GPUs) does not match cluster of "
-                               << cfg_.cluster.numGpus());
-    LLM4D_CHECK(cfg_.global_batch_tokens % cfg_.seq == 0,
-                "global batch tokens must be whole sequences");
-    const std::int64_t gbs_seqs = cfg_.global_batch_tokens / cfg_.seq;
-    LLM4D_CHECK(gbs_seqs % cfg_.par.dp == 0,
-                "global batch of " << gbs_seqs
-                                   << " sequences must divide across dp="
-                                   << cfg_.par.dp);
-    bs_ = gbs_seqs / cfg_.par.dp;
-    LLM4D_CHECK(bs_ % cfg_.mbs == 0, "bs must divide into micro-batches");
-    nmb_ = bs_ / cfg_.mbs;
-    v_ = deriveVirtualStages(cfg_);
-    LLM4D_CHECK(cfg_.seq % (2 * cfg_.par.cp) == 0,
-                "sequence must split into 2*cp chunks");
-    LLM4D_CHECK(cfg_.model.heads % cfg_.par.tp == 0,
-                "tp must divide attention heads");
+    ScheduleParams sp;
+    sp.pp = cfg.par.pp;
+    sp.v = v;
+    sp.nmb = nmb;
+    sp.nc = cfg.nc > 0 ? cfg.nc : std::min(nmb, cfg.par.pp);
+    switch (cfg.schedule) {
+      case ScheduleKind::Interleaved1F1B:
+        return LegalSchedule::check(buildInterleaved1F1B(sp));
+      case ScheduleKind::AllForwardAllBackward:
+        return LegalSchedule::check(buildAllForwardAllBackward(sp));
+      case ScheduleKind::Flexible:
+        return LegalSchedule::check(buildFlexible(sp));
+    }
+    LLM4D_PANIC("unreachable schedule kind");
 }
 
-/** Pre-computed per-(rank, vstage, mb) costs. */
-struct TrainSim::StageCostTable
-{
-    // [rank][vstage] base costs; per-mb attention variation applied on
-    // top via mb_attn_scale.
-    std::vector<std::vector<StageCost>> base;
-    std::vector<double> mb_fwd_scale; ///< attention scaling per micro-batch
-    std::vector<double> mb_bwd_scale;
-    double fwd_flops_per_rank = 0.0; ///< per micro-batch, mean over ranks
-    double bwd_flops_per_rank = 0.0;
-};
+} // namespace
 
-TrainStepReport
-TrainSim::run() const
+TrainSim::TrainSim(TrainJobConfig job)
+    : cfg_(validated(std::move(job))),
+      bs_(cfg_.global_batch_tokens / cfg_.seq / cfg_.par.dp),
+      nmb_(bs_ / cfg_.mbs), v_(deriveVirtualStages(cfg_)),
+      assignment_(makeAssignment(cfg_, v_)),
+      schedule_(buildSchedule(cfg_, v_, nmb_))
 {
     const TrainJobConfig &cfg = cfg_;
     const Topology topo(cfg.cluster);
@@ -109,6 +120,7 @@ TrainSim::run() const
     std::vector<double> mb_pairs(static_cast<std::size_t>(nmb_));
     {
         Rng rng(cfg.seed, rng_streams::kDocMaskSampleStream);
+        const CpSharding sharding(cfg.seq, cfg.par.cp);
         for (std::int64_t m = 0; m < nmb_; ++m) {
             DocMask mask =
                 cfg.doc_mask_mean > 0.0
@@ -118,7 +130,6 @@ TrainSim::run() const
             if (cfg.par.cp == 1) {
                 pairs = mask.totalPairs();
             } else {
-                const CpSharding sharding(cfg.seq, cfg.par.cp);
                 for (std::int64_t r = 0; r < cfg.par.cp; ++r)
                     pairs = std::max(pairs, sharding.pairsOf(r, mask));
             }
@@ -159,16 +170,9 @@ TrainSim::run() const
             ? 1.0
             : (cfg.act == ActivationMode::Selective ? 0.5 : 0.0);
 
-    StageCostTable table;
-    table.base.assign(static_cast<std::size_t>(cfg.par.pp),
-                      std::vector<StageCost>(
-                          static_cast<std::size_t>(v_)));
+    stage_work_.resize(static_cast<std::size_t>(cfg.par.pp * v_));
     double total_fwd_flops = 0.0, total_bwd_flops = 0.0;
     for (std::int64_t r = 0; r < cfg.par.pp; ++r) {
-        // Representative global rank of this PP coordinate.
-        const std::int64_t grank =
-            grid.rankOf(RankCoord{0, 0, r, 0});
-        const double speed = cfg.perf.speedOf(grank);
         for (std::int64_t s = 0; s < v_; ++s) {
             const StageContents &contents = assignment_.stage(r, s);
             LayerCost cost = layer_ref.scaled(
@@ -189,20 +193,18 @@ TrainSim::run() const
                         tp_group, lcm.tpCollectiveShardBytes(tokens_local));
                 }
             }
-            StageCost sc;
-            sc.fwd_seconds = (cost.fwd_seconds + fwd_comm) / speed;
-            sc.bwd_seconds = (cost.bwd_seconds + bwd_comm +
-                              recompute_factor * cost.fwd_seconds) /
-                             speed;
-            table.base[static_cast<std::size_t>(r)]
-                      [static_cast<std::size_t>(s)] = sc;
+            StageCost &work =
+                stage_work_[static_cast<std::size_t>(r * v_ + s)];
+            work.fwd_seconds = cost.fwd_seconds + fwd_comm;
+            work.bwd_seconds = cost.bwd_seconds + bwd_comm +
+                               recompute_factor * cost.fwd_seconds;
             total_fwd_flops += cost.fwd_flops;
             total_bwd_flops += cost.bwd_flops;
         }
     }
     // Per-micro-batch attention scaling relative to the reference mask.
-    table.mb_fwd_scale.assign(static_cast<std::size_t>(nmb_), 1.0);
-    table.mb_bwd_scale.assign(static_cast<std::size_t>(nmb_), 1.0);
+    mb_fwd_scale_.assign(static_cast<std::size_t>(nmb_), 1.0);
+    mb_bwd_scale_.assign(static_cast<std::size_t>(nmb_), 1.0);
     if (cfg.doc_mask_mean > 0.0) {
         // Attention share of the reference layer forward/backward.
         const std::int64_t heads_tp = cfg.model.heads / cfg.par.tp;
@@ -228,57 +230,32 @@ TrainSim::run() const
                                               kv_heads_tp,
                                               cfg.model.headDim()) -
                 attn_bwd_ref;
-            table.mb_fwd_scale[static_cast<std::size_t>(m)] =
+            mb_fwd_scale_[static_cast<std::size_t>(m)] =
                 1.0 + dfwd / std::max(1e-12, layer_ref.fwd_seconds);
-            table.mb_bwd_scale[static_cast<std::size_t>(m)] =
+            mb_bwd_scale_[static_cast<std::size_t>(m)] =
                 1.0 + dbwd / std::max(1e-12, layer_ref.bwd_seconds);
         }
     }
 
-    // ---- Schedule. ----
-    ScheduleParams sp;
-    sp.pp = cfg.par.pp;
-    sp.v = v_;
-    sp.nmb = nmb_;
-    sp.nc = cfg.nc > 0 ? cfg.nc : std::min(nmb_, cfg.par.pp);
-    Schedule schedule = [&] {
-        switch (cfg.schedule) {
-          case ScheduleKind::Interleaved1F1B:
-            return buildInterleaved1F1B(sp);
-          case ScheduleKind::AllForwardAllBackward:
-            return buildAllForwardAllBackward(sp);
-          case ScheduleKind::Flexible:
-            return buildFlexible(sp);
-        }
-        LLM4D_PANIC("unreachable schedule kind");
-    }();
-
-    // ---- Executor wiring. ----
+    // ---- Boundary-tensor P2P between neighbouring stages. ----
     // FSDP collectives congest PP P2P when both use the NICs.
     const bool fsdp_active = cfg.par.dp * cfg.par.cp > 1;
     const double congestion = p2pCongestionFactor(fsdp_active);
     const std::int64_t boundary_bytes =
         2 * tokens_local * cfg.model.hidden / cfg.par.tp;
-    ExecConfig exec_cfg;
-    exec_cfg.stage_cost = [&](std::int64_t rank, std::int64_t vstage,
-                              std::int64_t mb) {
-        StageCost sc = table.base[static_cast<std::size_t>(rank)]
-                                 [static_cast<std::size_t>(vstage)];
-        sc.fwd_seconds *= table.mb_fwd_scale[static_cast<std::size_t>(mb)];
-        sc.bwd_seconds *= table.mb_bwd_scale[static_cast<std::size_t>(mb)];
-        return sc;
-    };
-    exec_cfg.p2p_seconds = [&](std::int64_t from, std::int64_t to) {
+    const std::int64_t pp = cfg.par.pp;
+    auto p2p = [&](std::int64_t from, std::int64_t to) {
         const std::int64_t src = grid.rankOf(RankCoord{0, 0, from, 0});
         const std::int64_t dst = grid.rankOf(RankCoord{0, 0, to, 0});
         return coll.p2p(src, dst, boundary_bytes) * congestion;
     };
-    const ExecResult exec = executeSchedule(schedule, exec_cfg);
+    for (std::int64_t r = 0; r < pp; ++r) {
+        p2p_from_prev_.push_back(p2p((r + pp - 1) % pp, r));
+        p2p_from_next_.push_back(p2p((r + 1) % pp, r));
+    }
 
     // ---- FSDP exposure and optimizer. ----
     const std::int64_t fsdp_shard = cfg.par.dp * cfg.par.cp;
-    const MemoryModel mem(cfg.model, cfg.par.tp, fsdp_shard, cfg.zero,
-                          cfg.memory_optimized);
     const auto dpcp_group = grid.dpCpGroup(0);
     double exposed_fsdp = 0.0;
     if (fsdp_shard > 1) {
@@ -300,7 +277,8 @@ TrainSim::run() const
             // ZeRO-2 reduce-scatters every stage once per consecutive
             // round (Fig. 4c); the extra rounds contend with P2P traffic
             // and end up partially exposed (Section 3.1.3).
-            const std::int64_t rounds = ceilDiv(nmb_, sp.nc);
+            const std::int64_t rounds =
+                ceilDiv(nmb_, schedule_.schedule().params().nc);
             exposed_fsdp +=
                 0.5 *
                 coll.reduceScatter(dpcp_group,
@@ -316,14 +294,11 @@ TrainSim::run() const
     const double optimizer_seconds = kernels.elementwiseTime(
         static_cast<std::int64_t>(12.0 * params_per_rank / fsdp_shard));
 
-    // ---- Report. ----
-    TrainStepReport rep;
+    // ---- The report fields no PerfVariation changes. ----
+    TrainStepReport &rep = invariant_report_;
     rep.bs = bs_;
     rep.nmb = nmb_;
     rep.v = v_;
-    rep.step_seconds = timeToSeconds(exec.makespan) + exposed_fsdp +
-                       optimizer_seconds;
-    rep.bubble_ratio = exec.overallBubbleRatio();
     rep.exposed_tp_seconds =
         (tp_comm_layer_fwd + tp_comm_layer_bwd) *
         static_cast<double>(assignment_.layersOnRank(0)) *
@@ -336,15 +311,65 @@ TrainSim::run() const
     rep.optimizer_seconds = optimizer_seconds;
 
     // Useful FLOPs per GPU: mean across pipeline ranks of per-step work.
-    const double flops_per_rank_step =
+    flops_per_rank_step_ =
         (total_fwd_flops + total_bwd_flops) /
         static_cast<double>(cfg.par.pp) * static_cast<double>(nmb_);
-    rep.tflops_per_gpu = flops_per_rank_step / rep.step_seconds / 1e12;
+}
+
+TrainStepReport
+TrainSim::run(const PerfVariation &perf) const
+{
+    const TrainJobConfig &cfg = cfg_;
+    const RankGrid grid(cfg.par);
+    const std::int64_t pp = cfg.par.pp;
+
+    // Stage costs at the speed of each PP coordinate's representative
+    // global rank.
+    std::vector<StageCost> stage_cost = stage_work_;
+    for (std::int64_t r = 0; r < pp; ++r) {
+        const double speed =
+            perf.speedOf(grid.rankOf(RankCoord{0, 0, r, 0}));
+        for (std::int64_t s = 0; s < v_; ++s) {
+            StageCost &sc =
+                stage_cost[static_cast<std::size_t>(r * v_ + s)];
+            sc.fwd_seconds /= speed;
+            sc.bwd_seconds /= speed;
+        }
+    }
+
+    ExecConfig exec_cfg;
+    exec_cfg.stage_cost = [&](std::int64_t rank, std::int64_t vstage,
+                              std::int64_t mb) {
+        StageCost sc =
+            stage_cost[static_cast<std::size_t>(rank * v_ + vstage)];
+        sc.fwd_seconds *= mb_fwd_scale_[static_cast<std::size_t>(mb)];
+        sc.bwd_seconds *= mb_bwd_scale_[static_cast<std::size_t>(mb)];
+        return sc;
+    };
+    exec_cfg.p2p_seconds = [&](std::int64_t from, std::int64_t to) {
+        const auto into = static_cast<std::size_t>(to);
+        if (from == (to + pp - 1) % pp)
+            return p2p_from_prev_[into];
+        LLM4D_ASSERT(from == (to + 1) % pp,
+                     "P2P between non-adjacent pipeline ranks");
+        return p2p_from_next_[into];
+    };
+    const ExecResult exec = executeSchedule(schedule_, exec_cfg);
+
+    TrainStepReport rep = invariant_report_;
+    rep.step_seconds = timeToSeconds(exec.makespan) +
+                       rep.exposed_fsdp_seconds + rep.optimizer_seconds;
+    rep.bubble_ratio = exec.overallBubbleRatio();
+    rep.tflops_per_gpu = flops_per_rank_step_ / rep.step_seconds / 1e12;
     rep.mfu = rep.tflops_per_gpu /
               cfg.cluster.node.gpu.peak_bf16_tflops;
 
     // Memory per PP rank.
-    for (std::int64_t r = 0; r < cfg.par.pp; ++r) {
+    const std::int64_t fsdp_shard = cfg.par.dp * cfg.par.cp;
+    const MemoryModel mem(cfg.model, cfg.par.tp, fsdp_shard, cfg.zero,
+                          cfg.memory_optimized);
+    const std::int64_t tokens_local = cfg.mbs * cfg.seq / cfg.par.cp;
+    for (std::int64_t r = 0; r < pp; ++r) {
         bool has_embed = false, has_head = false;
         std::int64_t stage_layers = 0;
         for (std::int64_t s = 0; s < v_; ++s) {

@@ -84,11 +84,20 @@ struct TrainStepReport
     bool fits(double capacity_gib, double headroom = 0.94) const;
 };
 
-/** Simulates training steps for one job configuration. */
+/**
+ * Simulates training steps for one job configuration.
+ *
+ * The constructor derives everything a step's price needs that no
+ * PerfVariation changes: the sampled micro-batch document masks and their
+ * CP pair counts, the unit-speed stage costs, the neighbour P2P prices,
+ * the FSDP/optimizer exposure, and the PP schedule, built and checked
+ * once. run() then only scales the stage costs by per-rank speed and
+ * executes that schedule.
+ */
 class TrainSim
 {
   public:
-    /** Validate and pre-derive schedule/assignment state. */
+    /** Validate and pre-derive the per-job pricing state. */
     explicit TrainSim(TrainJobConfig cfg);
 
     const TrainJobConfig &config() const { return cfg_; }
@@ -105,17 +114,38 @@ class TrainSim
     /** The layer-to-stage assignment in use. */
     const StageAssignment &assignment() const { return assignment_; }
 
-    /** Simulate one training step. */
-    TrainStepReport run() const;
+    /** Simulate one training step under config().perf. */
+    TrainStepReport run() const { return run(cfg_.perf); }
+
+    /**
+     * Simulate one training step of this job under @p perf in place of
+     * config().perf: bit-identical to a TrainSim built with that perf,
+     * without re-deriving the per-job state.
+     */
+    TrainStepReport run(const PerfVariation &perf) const;
 
   private:
-    struct StageCostTable;
-
     TrainJobConfig cfg_;
     std::int64_t bs_ = 0;
     std::int64_t nmb_ = 0;
     std::int64_t v_ = 0;
     StageAssignment assignment_;
+    LegalSchedule schedule_;
+
+    /** Stage seconds at unit speed, [rank * v + vstage], before the
+     *  per-micro-batch attention scaling. */
+    std::vector<StageCost> stage_work_;
+    std::vector<double> mb_fwd_scale_; ///< attention scaling per mb
+    std::vector<double> mb_bwd_scale_;
+    /** Boundary-tensor P2P seconds into each rank from its previous and
+     *  its next pipeline neighbour (the only pairs a schedule uses). */
+    std::vector<double> p2p_from_prev_;
+    std::vector<double> p2p_from_next_;
+    /** Useful model FLOPs per pipeline rank per step. */
+    double flops_per_rank_step_ = 0.0;
+    /** The report fields no PerfVariation changes (bs, nmb, v, exposed
+     *  communication, optimizer). */
+    TrainStepReport invariant_report_;
 };
 
 } // namespace llm4d

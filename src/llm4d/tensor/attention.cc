@@ -56,6 +56,29 @@ queryPos(const std::vector<std::int64_t> &q_pos, std::int64_t row)
     return q_pos.empty() ? row : q_pos[static_cast<std::size_t>(row)];
 }
 
+/** Key columns [lo, hi) of a block starting at position @p k_offset. */
+struct KeyWindow
+{
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+
+    bool contains(std::int64_t j) const { return j >= lo && j < hi; }
+};
+
+/**
+ * The block columns query position @p qp may attend: keys
+ * [docStart(qp), qp] (DocMask::allowed), so each row reads its mask once.
+ */
+KeyWindow
+keyWindow(const DocMask &mask, std::int64_t qp, std::int64_t k_offset,
+          std::int64_t skv)
+{
+    const std::int64_t lo =
+        std::max<std::int64_t>(0, mask.docStart(qp) - k_offset);
+    const std::int64_t hi = std::min(skv, qp - k_offset + 1);
+    return {lo, std::max(lo, hi)};
+}
+
 } // namespace
 
 AttentionResult
@@ -71,15 +94,11 @@ referenceAttention(const Tensor &q, const Tensor &k, const Tensor &v,
     for (std::int64_t h = 0; h < s.hq; ++h) {
         const std::int64_t kh = h / s.group;
         for (std::int64_t i = 0; i < s.sq; ++i) {
-            const std::int64_t qp = queryPos(q_pos, i);
-            // Scores over attendable keys.
+            const KeyWindow win =
+                keyWindow(mask, queryPos(q_pos, i), k_offset, s.skv);
+            // Scores over attendable keys; no other column is read.
             float row_max = kNegInf;
-            for (std::int64_t j = 0; j < s.skv; ++j) {
-                const std::int64_t kp = k_offset + j;
-                if (!mask.allowed(qp, kp)) {
-                    scores[static_cast<std::size_t>(j)] = kNegInf;
-                    continue;
-                }
+            for (std::int64_t j = win.lo; j < win.hi; ++j) {
                 double dot = 0.0;
                 for (std::int64_t e = 0; e < s.d; ++e)
                     dot += static_cast<double>(q.at(h, i, e)) * k.at(kh, j, e);
@@ -93,7 +112,7 @@ referenceAttention(const Tensor &q, const Tensor &k, const Tensor &v,
                 continue;
             }
             double denom = 0.0;
-            for (std::int64_t j = 0; j < s.skv; ++j) {
+            for (std::int64_t j = win.lo; j < win.hi; ++j) {
                 const float sc = scores[static_cast<std::size_t>(j)];
                 if (sc == kNegInf)
                     continue;
@@ -101,7 +120,7 @@ referenceAttention(const Tensor &q, const Tensor &k, const Tensor &v,
             }
             for (std::int64_t e = 0; e < s.d; ++e) {
                 double acc = 0.0;
-                for (std::int64_t j = 0; j < s.skv; ++j) {
+                for (std::int64_t j = win.lo; j < win.hi; ++j) {
                     const float sc = scores[static_cast<std::size_t>(j)];
                     if (sc == kNegInf)
                         continue;
@@ -131,7 +150,8 @@ flashAttention(const Tensor &q, const Tensor &k, const Tensor &v,
     for (std::int64_t h = 0; h < s.hq; ++h) {
         const std::int64_t kh = h / s.group;
         for (std::int64_t i = 0; i < s.sq; ++i) {
-            const std::int64_t qp = queryPos(q_pos, i);
+            const KeyWindow win =
+                keyWindow(mask, queryPos(q_pos, i), k_offset, s.skv);
             // Online softmax state.
             double m = kNegInf; // running max
             double l = 0.0;     // running sum of exp(score - m)
@@ -141,9 +161,8 @@ flashAttention(const Tensor &q, const Tensor &k, const Tensor &v,
                 const std::int64_t t1 = std::min(t0 + kv_tile, s.skv);
                 float tile_max = kNegInf;
                 for (std::int64_t j = t0; j < t1; ++j) {
-                    const std::int64_t kp = k_offset + j;
                     float sc = kNegInf;
-                    if (mask.allowed(qp, kp)) {
+                    if (win.contains(j)) {
                         double dot = 0.0;
                         for (std::int64_t e = 0; e < s.d; ++e)
                             dot += static_cast<double>(q.at(h, i, e)) *
@@ -253,15 +272,12 @@ referenceAttentionBackward(const Tensor &q, const Tensor &k, const Tensor &v,
     for (std::int64_t h = 0; h < s.hq; ++h) {
         const std::int64_t kh = h / s.group;
         for (std::int64_t i = 0; i < s.sq; ++i) {
-            const std::int64_t qp = queryPos(q_pos, i);
-            // Recompute the softmax row (as a backward kernel would).
+            const KeyWindow win =
+                keyWindow(mask, queryPos(q_pos, i), k_offset, s.skv);
+            // Recompute the softmax row (as a backward kernel would) over
+            // the attendable keys; no other column is read.
             double row_max = kNegInf;
-            for (std::int64_t j = 0; j < s.skv; ++j) {
-                const std::int64_t kp = k_offset + j;
-                if (!mask.allowed(qp, kp)) {
-                    probs[static_cast<std::size_t>(j)] = kNegInf;
-                    continue;
-                }
+            for (std::int64_t j = win.lo; j < win.hi; ++j) {
                 double dot = 0.0;
                 for (std::int64_t e = 0; e < s.d; ++e)
                     dot += static_cast<double>(q.at(h, i, e)) * k.at(kh, j, e);
@@ -271,7 +287,7 @@ referenceAttentionBackward(const Tensor &q, const Tensor &k, const Tensor &v,
             if (row_max == kNegInf)
                 continue; // row contributed nothing forward; zero grads
             double denom = 0.0;
-            for (std::int64_t j = 0; j < s.skv; ++j) {
+            for (std::int64_t j = win.lo; j < win.hi; ++j) {
                 auto &p = probs[static_cast<std::size_t>(j)];
                 if (p == kNegInf) {
                     p = 0.0;
@@ -280,12 +296,12 @@ referenceAttentionBackward(const Tensor &q, const Tensor &k, const Tensor &v,
                     denom += p;
                 }
             }
-            for (auto &p : probs)
-                p /= denom;
+            for (std::int64_t j = win.lo; j < win.hi; ++j)
+                probs[static_cast<std::size_t>(j)] /= denom;
 
             // dP_ij = dO_i . V_j ; row_dot = sum_j P_ij dP_ij.
             double row_dot = 0.0;
-            for (std::int64_t j = 0; j < s.skv; ++j) {
+            for (std::int64_t j = win.lo; j < win.hi; ++j) {
                 const double p = probs[static_cast<std::size_t>(j)];
                 if (p == 0.0)
                     continue;
@@ -295,7 +311,7 @@ referenceAttentionBackward(const Tensor &q, const Tensor &k, const Tensor &v,
                           v.at(kh, j, e);
                 row_dot += p * dp;
             }
-            for (std::int64_t j = 0; j < s.skv; ++j) {
+            for (std::int64_t j = win.lo; j < win.hi; ++j) {
                 const double p = probs[static_cast<std::size_t>(j)];
                 if (p == 0.0)
                     continue;

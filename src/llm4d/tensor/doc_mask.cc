@@ -7,10 +7,19 @@
 
 namespace llm4d {
 
-DocMask::DocMask(std::vector<Index> doc_id, std::vector<Index> doc_start,
-                 Index n_docs)
-    : docId_(std::move(doc_id)), docStartOf_(std::move(doc_start)),
-      nDocs_(n_docs)
+namespace {
+
+/** Pairs of an n-token causal triangle: 1 + 2 + ... + n. */
+DocMask::Index
+triangle(DocMask::Index n)
+{
+    return n * (n + 1) / 2;
+}
+
+} // namespace
+
+DocMask::DocMask(std::vector<Index> cu_seqlens)
+    : cuSeqlens_(std::move(cu_seqlens))
 {
 }
 
@@ -24,23 +33,13 @@ DocMask
 DocMask::fromDocLengths(const std::vector<Index> &lengths)
 {
     LLM4D_CHECK(!lengths.empty(), "document list must be non-empty");
-    Index seq = 0;
+    std::vector<Index> cu_seqlens{0};
+    cu_seqlens.reserve(lengths.size() + 1);
     for (Index len : lengths) {
         LLM4D_CHECK(len > 0, "document length must be positive");
-        seq += len;
+        cu_seqlens.push_back(cu_seqlens.back() + len);
     }
-    std::vector<Index> doc_id(static_cast<std::size_t>(seq));
-    std::vector<Index> doc_start(static_cast<std::size_t>(seq));
-    Index pos = 0;
-    for (std::size_t d = 0; d < lengths.size(); ++d) {
-        const Index start = pos;
-        for (Index i = 0; i < lengths[d]; ++i, ++pos) {
-            doc_id[static_cast<std::size_t>(pos)] = static_cast<Index>(d);
-            doc_start[static_cast<std::size_t>(pos)] = start;
-        }
-    }
-    return DocMask(std::move(doc_id), std::move(doc_start),
-                   static_cast<Index>(lengths.size()));
+    return DocMask(std::move(cu_seqlens));
 }
 
 DocMask
@@ -101,11 +100,21 @@ DocMask::sampleLogNormal(Index seq, double median_len, double sigma,
     return fromDocLengths(lengths);
 }
 
+std::size_t
+DocMask::docOf(Index q) const
+{
+    LLM4D_ASSERT(q >= 0 && q < seq(), "query position out of range");
+    // cuSeqlens_[0] == 0 <= q, so the first offset past q is never the
+    // first entry.
+    const auto past = std::upper_bound(cuSeqlens_.begin(),
+                                       cuSeqlens_.end(), q);
+    return static_cast<std::size_t>(past - cuSeqlens_.begin() - 1);
+}
+
 DocMask::Index
 DocMask::docStart(Index q) const
 {
-    LLM4D_ASSERT(q >= 0 && q < seq(), "query position out of range");
-    return docStartOf_[static_cast<std::size_t>(q)];
+    return cuSeqlens_[docOf(q)];
 }
 
 DocMask::Index
@@ -119,9 +128,17 @@ DocMask::pairsInQueryRange(Index q_lo, Index q_hi) const
 {
     LLM4D_ASSERT(q_lo >= 0 && q_hi <= seq() && q_lo <= q_hi,
                  "query range out of bounds");
+    if (q_lo == q_hi)
+        return 0;
+    // Query q of a document starting at s attends q - s + 1 keys, so the
+    // queries [a, b) of that document sum to a difference of triangles.
     Index pairs = 0;
-    for (Index q = q_lo; q < q_hi; ++q)
-        pairs += span(q);
+    for (std::size_t d = docOf(q_lo); cuSeqlens_[d] < q_hi; ++d) {
+        const Index start = cuSeqlens_[d];
+        const Index a = std::max(q_lo, start);
+        const Index b = std::min(q_hi, cuSeqlens_[d + 1]);
+        pairs += triangle(b - start) - triangle(a - start);
+    }
     return pairs;
 }
 
@@ -132,14 +149,43 @@ DocMask::pairsBetween(Index q_lo, Index q_hi, Index k_lo, Index k_hi) const
                  "query range out of bounds");
     LLM4D_ASSERT(k_lo >= 0 && k_hi <= seq() && k_lo <= k_hi,
                  "key range out of bounds");
+    if (q_lo == q_hi || k_lo == k_hi)
+        return 0;
+    // Only documents that end past both range starts and begin before
+    // both range ends hold a pair.
+    const Index stop = std::min(q_hi, k_hi);
     Index pairs = 0;
-    for (Index q = q_lo; q < q_hi; ++q) {
-        const Index lo = std::max(docStart(q), k_lo);
-        const Index hi = std::min(q, k_hi - 1);
-        if (hi >= lo)
-            pairs += hi - lo + 1;
+    for (std::size_t d = docOf(std::max(q_lo, k_lo)); cuSeqlens_[d] < stop;
+         ++d) {
+        // Query q of this document attends keys [key_lo, min(q, k_hi-1)]:
+        // a ramp of q - key_lo + 1 keys up to q = k_hi - 1, then a flat
+        // k_hi - key_lo keys. key_lo < k_hi since the document starts
+        // before stop.
+        const Index key_lo = std::max(k_lo, cuSeqlens_[d]);
+        const Index a = std::max(q_lo, cuSeqlens_[d]);
+        const Index b = std::min(q_hi, cuSeqlens_[d + 1]);
+        const Index ramp_lo = std::max(a, key_lo);
+        const Index ramp_hi = std::min(b, k_hi);
+        if (ramp_hi > ramp_lo)
+            pairs += triangle(ramp_hi - key_lo) - triangle(ramp_lo - key_lo);
+        const Index flat_lo = std::max(a, k_hi);
+        if (b > flat_lo)
+            pairs += (b - flat_lo) * (k_hi - key_lo);
     }
     return pairs;
+}
+
+std::vector<DocMask::Index>
+DocMask::docIds() const
+{
+    std::vector<Index> ids;
+    ids.reserve(static_cast<std::size_t>(seq()));
+    for (std::size_t d = 0; d + 1 < cuSeqlens_.size(); ++d)
+        ids.insert(ids.end(),
+                   static_cast<std::size_t>(cuSeqlens_[d + 1] -
+                                            cuSeqlens_[d]),
+                   static_cast<Index>(d));
+    return ids;
 }
 
 } // namespace llm4d

@@ -12,8 +12,14 @@
  * shared source of truth for (a) executable attention correctness, (b) the
  * per-rank compute workload model behind the paper's imbalance results
  * (Figures 11 and 14).
+ *
+ * A mask stores only its cumulative document offsets (`cu_seqlens`, as
+ * variable-length attention kernels take them), so pair counts are
+ * closed-form sums over the documents a range touches: O(documents),
+ * not O(tokens).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -58,10 +64,14 @@ class DocMask
                                    double sigma, Rng &rng);
 
     /** Sequence length covered by the mask. */
-    Index seq() const { return static_cast<Index>(docId_.size()); }
+    Index seq() const { return cuSeqlens_.back(); }
 
     /** Number of documents packed in the sequence. */
-    Index docCount() const { return docStartOf_.empty() ? 0 : nDocs_; }
+    Index
+    docCount() const
+    {
+        return static_cast<Index>(cuSeqlens_.size()) - 1;
+    }
 
     /** First attendable key position for query position @p q. */
     Index docStart(Index q) const;
@@ -95,16 +105,18 @@ class DocMask
      */
     Index pairsBetween(Index q_lo, Index q_hi, Index k_lo, Index k_hi) const;
 
-    /** Document id of each token. */
-    const std::vector<Index> &docIds() const { return docId_; }
+    /** Document id of each token (built on request, O(seq)). */
+    std::vector<Index> docIds() const;
 
   private:
-    DocMask(std::vector<Index> doc_id, std::vector<Index> doc_start,
-            Index n_docs);
+    explicit DocMask(std::vector<Index> cu_seqlens);
 
-    std::vector<Index> docId_;      ///< document id per token
-    std::vector<Index> docStartOf_; ///< first token position per token's doc
-    Index nDocs_ = 0;
+    /** Index of the document holding position @p q (binary search). */
+    std::size_t docOf(Index q) const;
+
+    /** Document d covers [cuSeqlens_[d], cuSeqlens_[d + 1]); the first
+     *  entry is 0 and the last is seq(). */
+    std::vector<Index> cuSeqlens_;
 };
 
 } // namespace llm4d

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "llm4d/pp/executor.h"
 #include "llm4d/pp/legality.h"
+#include "llm4d/simcore/rng.h"
 
 namespace llm4d {
 namespace {
@@ -135,6 +140,131 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{6, 3, 13, 5, false},
                       Shape{16, 8, 16, 16, false},
                       Shape{5, 1, 7, 5, false}));
+
+/**
+ * Reference peak: replay a rank's records sorted by time, +1 at each
+ * forward's start and -1 at each backward's end, frees before
+ * allocations at equal times.
+ */
+std::int64_t
+sortedReplayPeak(const ExecResult &exec, std::int64_t rank)
+{
+    std::vector<std::pair<Time, int>> events;
+    for (const OpRecord &rec : exec.records) {
+        if (rec.rank != rank)
+            continue;
+        if (rec.op.kind == PipeOpKind::Forward)
+            events.emplace_back(rec.start, +1);
+        else
+            events.emplace_back(rec.end, -1);
+    }
+    std::sort(events.begin(), events.end());
+    std::int64_t live = 0, peak = 0;
+    for (const auto &[t, delta] : events) {
+        live += delta;
+        peak = std::max(peak, live);
+    }
+    return peak;
+}
+
+/** The same replay in program order, ignoring the tie rule. */
+std::int64_t
+programOrderPeak(const ExecResult &exec, std::int64_t rank)
+{
+    std::int64_t live = 0, peak = 0;
+    for (const OpRecord &rec : exec.records) {
+        if (rec.rank != rank)
+            continue;
+        live += rec.op.kind == PipeOpKind::Forward ? 1 : -1;
+        peak = std::max(peak, live);
+    }
+    return peak;
+}
+
+Schedule
+randomSchedule(ScheduleKind kind, Rng &rng)
+{
+    ScheduleParams p;
+    p.pp = rng.uniformInt(1, 6);
+    p.v = rng.uniformInt(1, 3);
+    switch (kind) {
+      case ScheduleKind::Interleaved1F1B:
+        p.nmb = p.pp * rng.uniformInt(1, 4);
+        p.nc = p.pp;
+        return buildInterleaved1F1B(p);
+      case ScheduleKind::AllForwardAllBackward:
+        p.nmb = rng.uniformInt(1, 12);
+        p.nc = rng.uniformInt(1, p.nmb);
+        return buildAllForwardAllBackward(p);
+      case ScheduleKind::Flexible:
+        break;
+    }
+    p.nmb = rng.uniformInt(1, 16);
+    p.nc = rng.uniformInt(1, p.nmb);
+    return buildFlexible(p);
+}
+
+TEST(ExecutorInFlight, LedgerMatchesSortedReplay)
+{
+    Rng rng(41);
+    int executed = 0, tie_rule_cases = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        const auto kind = static_cast<ScheduleKind>(trial % 3);
+        const Schedule sched = randomSchedule(kind, rng);
+        if (!checkSchedule(sched))
+            continue;
+        const ScheduleParams &p = sched.params();
+        // Half the runs without P2P; every other run also gives one
+        // (rank, vstage) zero-duration work, so a backward can end exactly
+        // when a forward starts.
+        const double p2p = trial % 2 == 0 ? 0.0 : kP2P;
+        const std::int64_t zero_rank =
+            trial % 4 < 2 ? rng.uniformInt(0, p.pp - 1) : -1;
+        const std::int64_t zero_vstage = rng.uniformInt(0, p.v - 1);
+        ExecConfig cfg = ExecConfig::uniform(kF, kB, p2p);
+        cfg.stage_cost = [=](std::int64_t rank, std::int64_t vstage,
+                             std::int64_t) {
+            if (rank == zero_rank && vstage == zero_vstage)
+                return StageCost{0.0, 0.0};
+            return StageCost{kF, kB};
+        };
+        const ExecResult exec = executeSchedule(sched, cfg);
+        ++executed;
+        SCOPED_TRACE(::testing::Message()
+                     << scheduleKindName(kind) << " pp=" << p.pp
+                     << " v=" << p.v << " nmb=" << p.nmb << " nc=" << p.nc
+                     << " p2p=" << p2p << " zero rank " << zero_rank);
+
+        for (std::int64_t r = 0; r < p.pp; ++r) {
+            EXPECT_EQ(exec.peakInFlight(r), sortedReplayPeak(exec, r))
+                << "rank " << r;
+            tie_rule_cases +=
+                programOrderPeak(exec, r) != sortedReplayPeak(exec, r);
+        }
+
+        // Records: sorted by (start, rank), each rank in program order.
+        ASSERT_EQ(exec.records.size(),
+                  static_cast<std::size_t>(2 * p.tmb() * p.pp));
+        std::vector<std::size_t> next(static_cast<std::size_t>(p.pp), 0);
+        for (std::size_t i = 0; i < exec.records.size(); ++i) {
+            const OpRecord &rec = exec.records[i];
+            if (i > 0) {
+                const OpRecord &prev = exec.records[i - 1];
+                EXPECT_TRUE(prev.start < rec.start ||
+                            (prev.start == rec.start && prev.rank <= rec.rank))
+                    << "record " << i;
+            }
+            auto &pos = next[static_cast<std::size_t>(rec.rank)];
+            ASSERT_LT(pos, sched.program(rec.rank).size());
+            EXPECT_EQ(rec.op, sched.program(rec.rank)[pos])
+                << "rank " << rec.rank << " op " << pos;
+            ++pos;
+        }
+    }
+    EXPECT_GT(executed, 150);
+    EXPECT_GT(tie_rule_cases, 0)
+        << "no run had a free and an allocation at one instant";
+}
 
 } // namespace
 } // namespace llm4d

@@ -620,11 +620,11 @@ TEST(TrainRunSim, RegrowBeatsShrinkOnlyUnderCommonRandomNumbers)
 
 TEST(TrainRunSim, RegrowRefillsTheSparePoolFirst)
 {
-    // regrow_spares_first: with a pool configured and the DP width
-    // intact, repaired hosts park as warm spares (free) instead of
-    // forcing a regrow outage — visible as hosts_repaired > 0 with
-    // dp_regrows == 0 on runs that never shrank, and as extra swaps
-    // beyond the configured pool size.
+    // A repaired host refills the spare pool before any DP regrow: with
+    // a pool configured and the DP width intact, it parks as a warm
+    // spare (free) instead of forcing a regrow outage — visible as
+    // hosts_repaired > 0 with dp_regrows == 0 on runs that never shrank,
+    // and as extra swaps beyond the configured pool size.
     TrainRunConfig cfg = elastic16kConfig();
     cfg.policy.allow_regrow = true;
     cfg.policy.allow_dp_shrink = false; // pool is the only elastic path

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "llm4d/fault/recovery_policy.h"
+
 namespace llm4d {
 namespace {
 
@@ -147,6 +151,140 @@ TEST(TrainSim, RejectsIndivisibleBatch)
     TrainJobConfig cfg = production8k();
     cfg.global_batch_tokens = 100 * cfg.seq * cfg.par.dp / 64; // odd
     EXPECT_DEATH(TrainSim{cfg}, "divide");
+}
+
+/** Table 2's 131K-context job (tp8/cp16/pp16/dp8), 4K-mean documents. */
+TrainJobConfig
+longContext131k()
+{
+    TrainJobConfig cfg = production8k();
+    cfg.par = ParallelismConfig{8, 16, 16, 8};
+    cfg.seq = 131072;
+    cfg.doc_mask_mean = 4096.0;
+    return cfg;
+}
+
+/** Global rank standing for pipeline stage @p stage in TrainSim's costs. */
+std::int64_t
+stageRank(const TrainJobConfig &cfg, std::int64_t stage)
+{
+    return RankGrid(cfg.par).rankOf(RankCoord{0, 0, stage, 0});
+}
+
+/** Pinned report bits of one job. */
+struct GoldenStep
+{
+    double step_seconds;
+    double tflops_per_gpu;
+    double bubble_ratio;
+    std::vector<double> pp_rank_memory_bytes;
+};
+
+void
+expectGolden(const TrainStepReport &rep, const GoldenStep &golden)
+{
+    EXPECT_EQ(rep.step_seconds, golden.step_seconds);
+    EXPECT_EQ(rep.tflops_per_gpu, golden.tflops_per_gpu);
+    EXPECT_EQ(rep.bubble_ratio, golden.bubble_ratio);
+    ASSERT_EQ(rep.pp_rank_memory.size(), golden.pp_rank_memory_bytes.size());
+    for (std::size_t r = 0; r < rep.pp_rank_memory.size(); ++r)
+        EXPECT_EQ(rep.pp_rank_memory[r].total(),
+                  golden.pp_rank_memory_bytes[r])
+            << "pp rank " << r;
+}
+
+/** Peak bytes per PP rank shared by the 8K job and the 131K job (both
+ *  hold 8K tokens per rank per micro-batch). */
+const std::vector<double> kProductionMemory = {
+    0x1.fcd00d5p+35,  0x1.015d30cp+36, 0x1.015d30cp+36, 0x1.015d30cp+36,
+    0x1.015d30cp+36,  0x1.015d30cp+36, 0x1.015d30cp+36, 0x1.015d30cp+36,
+    0x1.ffd6618p+35,  0x1.fa0e618p+35, 0x1.f446618p+35, 0x1.ee7e618p+35,
+    0x1.e8b6618p+35,  0x1.e2ee618p+35, 0x1.dd26618p+35, 0x1.d7130d5p+35};
+
+TEST(TrainSimGolden, Production8k)
+{
+    expectGolden(TrainSim(production8k()).run(),
+                 {0x1.75f916972e37ap+2, 0x1.bd454f1d1f092p+8,
+                  0x1.851abcbd884f9p-3, kProductionMemory});
+}
+
+TEST(TrainSimGolden, LongContext131kWithDocumentMasks)
+{
+    expectGolden(TrainSim(longContext131k()).run(),
+                 {0x1.baa747955b823p+2, 0x1.8be4fd33ad8dep+8,
+                  0x1.e0255d8bd1323p-3, kProductionMemory});
+}
+
+TEST(TrainSimGolden, LongContext131kWithOneStraggler)
+{
+    TrainJobConfig cfg = longContext131k();
+    cfg.perf.injectStraggler(stageRank(cfg, 5), 0.7);
+    expectGolden(TrainSim(cfg).run(),
+                 {0x1.0c21a762ac94cp+3, 0x1.46c99e0e68d42p+8,
+                  0x1.e6450bf2ed265p-2, kProductionMemory});
+}
+
+TEST(TrainSimGolden, LongContext131kShrunkToDp4)
+{
+    TrainJobConfig cfg = longContext131k();
+    cfg.par = RecoveryCostModel::shrunkPar(cfg.par, 4);
+    cfg.cluster = RecoveryCostModel::shrunkCluster(cfg.cluster, cfg.par);
+    expectGolden(
+        TrainSim(cfg).run(),
+        {0x1.949ff2b409968p+3, 0x1.b11a44a4a5188p+8, 0x1.530a6dbd844cdp-3,
+         {0x1.1526e35p+36, 0x1.1544318p+36, 0x1.1260318p+36,
+          0x1.0f7c318p+36, 0x1.0c98318p+36, 0x1.09b4318p+36,
+          0x1.06d0318p+36, 0x1.03ec318p+36, 0x1.0108318p+36,
+          0x1.fc4863p+35, 0x1.f68063p+35, 0x1.f0b863p+35, 0x1.eaf063p+35,
+          0x1.e52863p+35, 0x1.df6063p+35, 0x1.d934c6ap+35}});
+}
+
+void
+expectSameReport(const TrainStepReport &a, const TrainStepReport &b)
+{
+    EXPECT_EQ(a.step_seconds, b.step_seconds);
+    EXPECT_EQ(a.tflops_per_gpu, b.tflops_per_gpu);
+    EXPECT_EQ(a.mfu, b.mfu);
+    EXPECT_EQ(a.bubble_ratio, b.bubble_ratio);
+    EXPECT_EQ(a.exposed_tp_seconds, b.exposed_tp_seconds);
+    EXPECT_EQ(a.exposed_cp_seconds, b.exposed_cp_seconds);
+    EXPECT_EQ(a.exposed_fsdp_seconds, b.exposed_fsdp_seconds);
+    EXPECT_EQ(a.optimizer_seconds, b.optimizer_seconds);
+    EXPECT_EQ(a.bs, b.bs);
+    EXPECT_EQ(a.nmb, b.nmb);
+    EXPECT_EQ(a.v, b.v);
+    ASSERT_EQ(a.pp_rank_memory.size(), b.pp_rank_memory.size());
+    for (std::size_t r = 0; r < a.pp_rank_memory.size(); ++r) {
+        const MemoryBreakdown &x = a.pp_rank_memory[r];
+        const MemoryBreakdown &y = b.pp_rank_memory[r];
+        EXPECT_EQ(x.weights, y.weights) << "pp rank " << r;
+        EXPECT_EQ(x.grads, y.grads) << "pp rank " << r;
+        EXPECT_EQ(x.optimizer, y.optimizer) << "pp rank " << r;
+        EXPECT_EQ(x.activations, y.activations) << "pp rank " << r;
+    }
+}
+
+TEST(TrainSim, RerunWithChangedPerfMatchesFreshBuild)
+{
+    // TrainRunSim prices straggler sets through one base TrainSim with
+    // only the PerfVariation changed; that must equal building the job
+    // afresh with the new perf, bit for bit.
+    const TrainJobConfig job = longContext131k();
+    const TrainSim base(job);
+    std::vector<PerfVariation> perfs(3, job.perf);
+    perfs[0].injectStraggler(stageRank(job, 5), 0.7);
+    perfs[1].injectStraggler(stageRank(job, 0), 0.8);
+    perfs[1].injectStraggler(stageRank(job, 15), 0.55);
+    perfs[2] = PerfVariation::jitter(0.02, 9);
+    perfs[2].injectStraggler(stageRank(job, 9), 0.9);
+    for (std::size_t i = 0; i < perfs.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "perf " << i);
+        TrainJobConfig fresh = job;
+        fresh.perf = perfs[i];
+        expectSameReport(base.run(perfs[i]), TrainSim(fresh).run());
+    }
+    // The base job's own perf is what run() uses.
+    expectSameReport(base.run(job.perf), base.run());
 }
 
 } // namespace
