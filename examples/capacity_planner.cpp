@@ -10,19 +10,50 @@
  * time evolve — including the total time for the 405B run's 3.8e25 FLOPs
  * budget — and then re-ranks the same candidates by simulated goodput
  * under failures (Section 8), printing the fault-free and fault-aware
- * choices side by side.
+ * choices side by side, and per scale how many policy cells needed
+ * their own run and which recovery knobs the winner's run consulted.
  *
  * Build & run:  ./build/examples/capacity_planner
  */
 
 #include <cstdio>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "llm4d/plan/goodput_planner.h"
 #include "llm4d/plan/planner.h"
 #include "llm4d/simcore/table.h"
 
 using namespace llm4d;
+
+/**
+ * "<cells> cells, <runs> runs; winner's run consulted: ..." for one
+ * ranked sweep: a cell reuses an earlier cell's run when it differs only
+ * in knobs that run never read, and the knobs the winner's run read are
+ * the only ones that could have changed its outcome. Every run reads
+ * its checkpoint mode and tier cadence.
+ */
+std::string
+sweepSummary(const std::vector<GoodputPlanCandidate> &ranked)
+{
+    std::size_t cells = 0;
+    std::size_t runs = 0;
+    for (const GoodputPlanCandidate &cand : ranked) {
+        cells += cand.sweep.size();
+        for (const GoodputSweepPoint &pt : cand.sweep)
+            runs += !pt.reuses_cell;
+    }
+    std::string consulted = "checkpoint mode, tiers";
+    const PolicyFootprint &read = ranked.front().best().report.footprint;
+    for (int k = 0; k < kNumPolicyKnobs; ++k) {
+        const auto knob = static_cast<PolicyKnob>(k);
+        if (read.contains(knob))
+            consulted += std::string(", ") + toString(knob);
+    }
+    return std::to_string(cells) + " cells, " + std::to_string(runs) +
+           " runs; winner's run consulted: " + consulted;
+}
 
 int
 main()
@@ -75,6 +106,7 @@ main()
                    "(common fault seed)");
     both.header({"GPUs", "fault-free winner", "goodput winner", "policy",
                  "spares", "goodput TFLOPs/GPU", "same?"});
+    std::vector<std::string> summaries;
     for (std::int64_t ngpu : {2048, 4096, 8192, 16384}) {
         GoodputPlanInput gin;
         gin.base.cluster = ClusterSpec::llama3Production(ngpu);
@@ -82,25 +114,29 @@ main()
         gin.horizon_steps = 3000;
         const std::optional<PlanCandidate> analytic =
             tryBestPlan(gin.base);
-        const std::optional<GoodputPlanCandidate> fault_aware =
-            tryBestGoodputPlan(gin);
-        if (!analytic || !fault_aware) {
+        const std::vector<GoodputPlanCandidate> ranked = planGoodput(gin);
+        if (!analytic || ranked.empty()) {
             both.row({TextTable::num(ngpu), "infeasible", "-", "-", "-",
                       "-", "-"});
             continue;
         }
-        const GoodputSweepPoint &cell = fault_aware->best();
-        const bool same = fault_aware->analytic.par == analytic->par &&
-                          fault_aware->analytic.zero == analytic->zero;
+        const GoodputPlanCandidate &fault_aware = ranked.front();
+        summaries.push_back(std::to_string(ngpu) +
+                            " GPUs: " + sweepSummary(ranked));
+        const GoodputSweepPoint &cell = fault_aware.best();
+        const bool same = fault_aware.analytic.par == analytic->par &&
+                          fault_aware.analytic.zero == analytic->zero;
         both.row({TextTable::num(ngpu), analytic->par.str(),
-                  fault_aware->analytic.par.str(),
+                  fault_aware.analytic.par.str(),
                   std::string(toString(cell.policy.mode)) + "/" +
                       toString(cell.policy.checkpoint_mode),
                   TextTable::num(cell.policy.spare_hosts),
-                  TextTable::num(fault_aware->goodput_tflops_per_gpu, 1),
+                  TextTable::num(fault_aware.goodput_tflops_per_gpu, 1),
                   same ? "yes" : "DIVERGED"});
     }
     both.print();
+    for (const std::string &summary : summaries)
+        std::printf("%s\n", summary.c_str());
     std::printf(
         "Where the rows diverge, the fault-free winner loses goodput to "
         "its restart\nblast radius: recovery charges (rollback, re-init, "

@@ -108,6 +108,8 @@ struct FaultEvent
 
     /** "t=123.4s GpuFatal gpu=17"-style rendering. */
     [[nodiscard]] std::string str() const;
+
+    bool operator==(const FaultEvent &) const = default;
 };
 
 /** Severity/duration distributions not derivable from the hw specs. */

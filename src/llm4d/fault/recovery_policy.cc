@@ -106,6 +106,114 @@ RecoveryPolicy::validate(const ClusterSpec &cluster) const
                 "rebalance residual threshold is a multiplier >= 1");
 }
 
+const char *
+toString(PolicyKnob knob)
+{
+    switch (knob) {
+      case PolicyKnob::Mode:
+        return "recovery-mode";
+      case PolicyKnob::SpareHosts:
+        return "spare-hosts";
+      case PolicyKnob::SparePlacement:
+        return "spare-placement";
+      case PolicyKnob::PlacementMigration:
+        return "placement-migration";
+      case PolicyKnob::AllowDpShrink:
+        return "dp-shrink";
+      case PolicyKnob::AllowRegrow:
+        return "regrow";
+      case PolicyKnob::PartialRestart:
+        return "partial-restart";
+    }
+    LLM4D_PANIC("unreachable policy knob");
+}
+
+template <>
+std::optional<PolicyKnob>
+tryParse<PolicyKnob>(std::string_view text)
+{
+    for (int i = 0; i < kNumPolicyKnobs; ++i) {
+        const auto knob = static_cast<PolicyKnob>(i);
+        if (text == toString(knob))
+            return knob;
+    }
+    return std::nullopt;
+}
+
+bool
+sharesRun(const RecoveryPolicy &run_policy, const PolicyFootprint &footprint,
+          const RecoveryPolicy &policy)
+{
+    // Adopt the run's value of every knob it never read; whatever still
+    // differs is a knob it read or a field no footprint covers.
+    RecoveryPolicy unread = policy;
+    if (!footprint.contains(PolicyKnob::Mode))
+        unread.mode = run_policy.mode;
+    if (!footprint.contains(PolicyKnob::SpareHosts))
+        unread.spare_hosts = run_policy.spare_hosts;
+    if (!footprint.contains(PolicyKnob::SparePlacement))
+        unread.spare_placement = run_policy.spare_placement;
+    if (!footprint.contains(PolicyKnob::PlacementMigration))
+        unread.placement_migration = run_policy.placement_migration;
+    if (!footprint.contains(PolicyKnob::AllowDpShrink))
+        unread.allow_dp_shrink = run_policy.allow_dp_shrink;
+    if (!footprint.contains(PolicyKnob::AllowRegrow))
+        unread.allow_regrow = run_policy.allow_regrow;
+    if (!footprint.contains(PolicyKnob::PartialRestart))
+        unread.partial_restart = run_policy.partial_restart;
+    return unread == run_policy;
+}
+
+RecoveryMode
+RecordedPolicy::mode()
+{
+    footprint_.add(PolicyKnob::Mode);
+    return policy_.mode;
+}
+
+bool
+RecordedPolicy::placementMigration()
+{
+    footprint_.add(PolicyKnob::PlacementMigration);
+    return policy_.placement_migration;
+}
+
+bool
+RecordedPolicy::allowDpShrink()
+{
+    footprint_.add(PolicyKnob::AllowDpShrink);
+    return policy_.allow_dp_shrink;
+}
+
+bool
+RecordedPolicy::allowRegrow()
+{
+    footprint_.add(PolicyKnob::AllowRegrow);
+    return policy_.allow_regrow;
+}
+
+bool
+RecordedPolicy::partialRestart()
+{
+    footprint_.add(PolicyKnob::PartialRestart);
+    return policy_.partial_restart;
+}
+
+bool
+RecordedPolicy::placementAware()
+{
+    footprint_.add(PolicyKnob::SparePlacement);
+    return policy_.spare_placement != SparePlacementPolicy::CentralPool ||
+           placementMigration();
+}
+
+SparePool
+RecordedPolicy::sparePool(const ClusterSpec &cluster)
+{
+    footprint_.add(PolicyKnob::SpareHosts);
+    return SparePool(cluster, policy_.spare_placement, policy_.spare_hosts);
+}
+
 double
 CostBreakdown::restoreCriticalSeconds() const
 {

@@ -166,6 +166,118 @@ struct RecoveryPolicy
 
     /** Abort unless the policy is sane for @p cluster. */
     void validate(const ClusterSpec &cluster) const;
+
+    /** Field-wise; a field added later is compared too. */
+    bool operator==(const RecoveryPolicy &) const = default;
+};
+
+/** The RecoveryPolicy knobs a planner sweeps and a run records. */
+enum class PolicyKnob
+{
+    Mode,               ///< RecoveryPolicy::mode
+    SpareHosts,         ///< RecoveryPolicy::spare_hosts
+    SparePlacement,     ///< RecoveryPolicy::spare_placement
+    PlacementMigration, ///< RecoveryPolicy::placement_migration
+    AllowDpShrink,      ///< RecoveryPolicy::allow_dp_shrink
+    AllowRegrow,        ///< RecoveryPolicy::allow_regrow
+    PartialRestart,     ///< RecoveryPolicy::partial_restart
+};
+
+constexpr int kNumPolicyKnobs = 7;
+
+/** toString/tryParse per the project convention (simcore/enum_text.h). */
+const char *toString(PolicyKnob knob);
+template <>
+[[nodiscard]] std::optional<PolicyKnob>
+tryParse<PolicyKnob>(std::string_view text);
+
+/** The set of swept knobs one run read (its decision footprint). */
+class PolicyFootprint
+{
+  public:
+    void add(PolicyKnob knob) { bits_ |= bit(knob); }
+
+    [[nodiscard]] bool contains(PolicyKnob knob) const
+    {
+        return (bits_ & bit(knob)) != 0;
+    }
+
+    [[nodiscard]] bool empty() const { return bits_ == 0; }
+
+    bool operator==(const PolicyFootprint &) const = default;
+
+  private:
+    static std::uint8_t bit(PolicyKnob knob)
+    {
+        return static_cast<std::uint8_t>(1u << static_cast<unsigned>(knob));
+    }
+
+    std::uint8_t bits_ = 0;
+};
+
+/**
+ * Whether a run under @p run_policy that read only the knobs in
+ * @p footprint is also the run of @p policy: the two policies agree on
+ * every knob in the footprint and on every field that is not a
+ * PolicyKnob. Such a run never saw a difference, so it took the path
+ * @p policy's own run would take, bit for bit.
+ */
+[[nodiscard]] bool sharesRun(const RecoveryPolicy &run_policy,
+                             const PolicyFootprint &footprint,
+                             const RecoveryPolicy &policy);
+
+/**
+ * A run's only access to its RecoveryPolicy: each read of a PolicyKnob
+ * adds the knob to footprint(). Callers evaluate the pure state
+ * predicates of a decision first and read a knob only where its value
+ * can change the path, so a knob outside the footprint is one the run
+ * would ignore under any value (see sharesRun). The fields no planner
+ * sweeps are read without recording: sharesRun compares them whole.
+ */
+class RecordedPolicy
+{
+  public:
+    explicit RecordedPolicy(const RecoveryPolicy &policy) : policy_(policy) {}
+
+    RecoveryMode mode();
+    bool placementMigration();
+    bool allowDpShrink();
+    bool allowRegrow();
+    bool partialRestart();
+
+    /**
+     * RecoveryPolicy::placementAware(), recording spare_placement and,
+     * only when a central pool leaves the answer open,
+     * placement_migration.
+     */
+    bool placementAware();
+
+    /**
+     * The run's warm-spare pool, recording spare_hosts: the pool is the
+     * only access to it. The placement is not recorded: it decides only
+     * where spares sit, never how many, and a run reads a claim's
+     * location only under placementAware(), which records it.
+     */
+    SparePool sparePool(const ClusterSpec &cluster);
+
+    /** Unswept fields: read freely, compared whole by sharesRun.
+     *  @{ */
+    CheckpointMode checkpointMode() const { return policy_.checkpoint_mode; }
+    bool stragglerRebalance() const { return policy_.straggler_rebalance; }
+    double rebalanceSeconds() const { return policy_.rebalance_seconds; }
+    double rebalanceMaxResidual() const
+    {
+        return policy_.rebalance_max_residual;
+    }
+    double swapReinitSeconds() const { return policy_.swap_reinit_seconds; }
+    /** @} */
+
+    /** The knobs read so far. */
+    const PolicyFootprint &footprint() const { return footprint_; }
+
+  private:
+    RecoveryPolicy policy_;
+    PolicyFootprint footprint_;
 };
 
 /**

@@ -33,7 +33,7 @@ tryParse<SparePlacementPolicy>(std::string_view text)
 SparePool::SparePool(const ClusterSpec &cluster,
                      SparePlacementPolicy policy, std::int64_t spare_hosts)
     : policy_(policy), nodes_per_pod_(cluster.nodes_per_pod),
-      num_nodes_(cluster.num_nodes)
+      num_nodes_(cluster.num_nodes), provisioned_(spare_hosts)
 {
     LLM4D_CHECK(nodes_per_pod_ > 0, "need nodes per pod");
     LLM4D_CHECK(num_nodes_ > 0, "need at least one node");

@@ -103,6 +103,9 @@ class SparePool
     /** Spares currently parked anywhere. */
     [[nodiscard]] std::int64_t available() const;
 
+    /** Spares the pool was built with (refills return it to this). */
+    [[nodiscard]] std::int64_t provisioned() const { return provisioned_; }
+
     /** Spares currently parked in @p pod (central pod included). */
     [[nodiscard]] std::int64_t availableInPod(std::int64_t pod) const;
 
@@ -127,6 +130,7 @@ class SparePool
     SparePlacementPolicy policy_;
     std::int64_t nodes_per_pod_ = 1;
     std::int64_t num_nodes_ = 1;
+    std::int64_t provisioned_ = 0;
 
     /** reserve_[p] = spares parked in pod p; last slot = central pod. */
     std::vector<std::int64_t> reserve_;

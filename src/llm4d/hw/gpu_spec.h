@@ -77,6 +77,8 @@ struct GpuSpec
      * CP scalability study "in a lower memory bandwidth setup".
      */
     static GpuSpec h100Hbm2e();
+
+    bool operator==(const GpuSpec &) const = default;
 };
 
 /** One training host (Grand Teton server). */
@@ -103,6 +105,8 @@ struct NodeSpec
      * instead of failing the job.
      */
     double nic_flap_mtbf_hours = 200000.0;
+
+    bool operator==(const NodeSpec &) const = default;
 };
 
 /** Whole-cluster description with a three-level network hierarchy. */
@@ -147,6 +151,8 @@ struct ClusterSpec
 
     /** The 16K-GPU Llama 3 production cluster. */
     static ClusterSpec llama3Production(std::int64_t num_gpus = 16384);
+
+    bool operator==(const ClusterSpec &) const = default;
 };
 
 } // namespace llm4d

@@ -59,6 +59,8 @@ class PerfVariation
         return stragglers_;
     }
 
+    bool operator==(const PerfVariation &) const = default;
+
   private:
     double sigma_ = 0.0;
     std::uint64_t seed_ = 0;

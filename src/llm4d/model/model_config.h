@@ -71,6 +71,8 @@ struct ModelConfig
      * from the first and last pipeline stages).
      */
     static ModelConfig scaledDown405b(std::int64_t layers);
+
+    bool operator==(const ModelConfig &) const = default;
 };
 
 /** ViT image encoder hyper-parameters (Section 3.2). */

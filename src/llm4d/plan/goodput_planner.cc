@@ -1,6 +1,7 @@
 #include "llm4d/plan/goodput_planner.h"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "llm4d/simcore/common.h"
@@ -25,6 +26,27 @@ samePlan(const PlanCandidate &a, const PlanCandidate &b)
 {
     return a.par == b.par && a.zero == b.zero &&
            a.schedule == b.schedule;
+}
+
+/**
+ * The earliest simulated cell of @p sweep whose run is also @p cell's:
+ * same tier cadence and correlation flag (the rest of the config is the
+ * candidate's), and a policy that agrees with the cell's on every knob
+ * that run read (sharesRun). nullopt when the cell needs its own run.
+ */
+std::optional<std::size_t>
+sharedRun(const std::vector<GoodputSweepPoint> &sweep,
+          const GoodputSweepPoint &cell)
+{
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const GoodputSweepPoint &run = sweep[i];
+        if (!run.reuses_cell &&
+            run.hier_global_every == cell.hier_global_every &&
+            run.straggler_correlation == cell.straggler_correlation &&
+            sharesRun(run.policy, run.report.footprint, cell.policy))
+            return i;
+    }
+    return std::nullopt;
 }
 
 /** TrainRunConfig of one {candidate, policy, tier-cadence} sweep cell.
@@ -161,8 +183,9 @@ planGoodput(const GoodputPlanInput &in)
     const std::vector<RecoveryPolicy> policies = in.sweepPolicies();
 
     // ---- Stage 1: analytic pruning to the top-K survivors. ----
+    const std::vector<PlanCandidate> plans = enumeratePlans(in.base);
     std::vector<PlanCandidate> feasible;
-    for (const PlanCandidate &cand : enumeratePlans(in.base)) {
+    for (const PlanCandidate &cand : plans) {
         if (cand.feasible)
             feasible.push_back(cand);
     }
@@ -176,7 +199,7 @@ planGoodput(const GoodputPlanInput &in)
     // the Section-5.1 near-tie preference rules moved it past the raw
     // top-K cutoff — stage 2 exists to judge exactly that pick.
     if (const std::optional<PlanCandidate> preferred =
-            tryBestPlan(in.base)) {
+            tryPreferredPlan(plans)) {
         const bool present =
             std::any_of(feasible.begin(), feasible.end(),
                         [&](const PlanCandidate &c) {
@@ -197,7 +220,11 @@ planGoodput(const GoodputPlanInput &in)
         GoodputPlanCandidate scored;
         scored.analytic = cand;
         scored.sweep.reserve(policies.size() *
-                             in.hier_global_every_options.size());
+                             in.hier_global_every_options.size() *
+                             in.straggler_correlation_options.size());
+        // The candidate's first simulated cell; every later one shares
+        // its priced fault-free step (all cells run the same job).
+        std::optional<TrainRunSim> first_sim;
         for (const RecoveryPolicy &policy : policies) {
             for (const std::int64_t hier_n : in.hier_global_every_options) {
                 // Partial restart needs the HBM peer tier; the tiers
@@ -215,15 +242,32 @@ planGoodput(const GoodputPlanInput &in)
                         in.base.cluster.node.gpu.straggler_mtbf_hours <=
                             0.0)
                         continue;
-                    const TrainRunSim sim(
-                        cellConfig(in, cand, policy, hier_n, corr));
+                    const TrainRunConfig cfg =
+                        cellConfig(in, cand, policy, hier_n, corr);
                     GoodputSweepPoint pt;
                     pt.policy = policy;
                     pt.hier_global_every = hier_n;
                     pt.straggler_correlation = corr;
-                    pt.checkpoint_interval_steps =
-                        sim.checkpointIntervalSteps();
-                    pt.report = sim.run();
+                    pt.reuses_cell = sharedRun(scored.sweep, pt);
+                    if (pt.reuses_cell) {
+                        // The same checks as building the cell's own
+                        // simulator; the rest of its construction
+                        // depends only on fields the run shares.
+                        cfg.validate();
+                        const GoodputSweepPoint &run =
+                            scored.sweep[*pt.reuses_cell];
+                        pt.checkpoint_interval_steps =
+                            run.checkpoint_interval_steps;
+                        pt.report = run.report;
+                    } else {
+                        std::optional<TrainRunSim> shared;
+                        const TrainRunSim &sim =
+                            first_sim ? shared.emplace(cfg, *first_sim)
+                                      : first_sim.emplace(cfg);
+                        pt.checkpoint_interval_steps =
+                            sim.checkpointIntervalSteps();
+                        pt.report = sim.run();
+                    }
                     // Idle spares are provisioned capacity: they park
                     // whole hosts next to the job, so the per-GPU
                     // goodput the cluster owner sees is diluted by the

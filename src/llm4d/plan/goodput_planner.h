@@ -31,7 +31,11 @@
  *     on/off, and spare placement (central pool vs. per-pod reserves,
  *     optionally with displaced-rank migration). Checkpoint intervals
  *     are Young–Daly auto-tuned per point so a policy flip cannot
- *     desynchronize them.
+ *     desynchronize them. Each distinct outcome is simulated once: a
+ *     candidate prices its fault-free step once for all its cells, and
+ *     a cell that differs from an earlier simulated cell only in knobs
+ *     that run never read reuses its report (GoodputSweepPoint::
+ *     reuses_cell).
  *
  * Candidates are ranked by their best sweep point's goodput TFLOPs per
  * *provisioned* GPU (training world + idle spares); each candidate
@@ -165,7 +169,12 @@ struct GoodputPlanInput
     void validate() const;
 };
 
-/** One simulated {policy, spare pool} cell of a survivor's sweep. */
+/**
+ * One {policy, tier cadence, straggler correlation} cell of a
+ * survivor's sweep. A cell whose run would read only knobs on which it
+ * agrees with an earlier simulated cell reuses that run (sharesRun on
+ * the run's footprint): same report, bit for bit, as simulating it.
+ */
 struct GoodputSweepPoint
 {
     RecoveryPolicy policy;
@@ -182,8 +191,13 @@ struct GoodputSweepPoint
      *  the blocking cost is the cheap HBM mirror). */
     std::int64_t checkpoint_interval_steps = 0;
 
-    /** Full run outcome, including the lost-time breakdown buckets. */
+    /** Full run outcome, including the lost-time breakdown buckets;
+     *  report.footprint names the policy knobs the run read. */
     TrainRunReport report;
+
+    /** Index in the candidate's sweep of the earlier cell whose run
+     *  this cell reuses, or nullopt when this cell was simulated. */
+    std::optional<std::size_t> reuses_cell;
 
     /**
      * Goodput TFLOPs per *provisioned* GPU: the run's goodput diluted
@@ -201,10 +215,12 @@ struct GoodputPlanCandidate
     /** The stage-1 analytic evaluation (par, zero, step estimate). */
     PlanCandidate analytic;
 
-    /** Every simulated sweep cell: sweepPolicies() order, with one cell
-     *  per applicable hier_global_every option inside each policy
+    /** Every sweep cell: sweepPolicies() order, with one cell per
+     *  applicable hier_global_every option inside each policy, and one
+     *  per applicable straggler_correlation option inside that
      *  (inapplicable combinations — partial restart without tiers,
-     *  tiers without a DP peer — are skipped, not simulated). */
+     *  tiers without a DP peer, correlation without stragglers — are
+     *  skipped). */
     std::vector<GoodputSweepPoint> sweep;
 
     /** Index into sweep of the best cell (highest provisioned-GPU

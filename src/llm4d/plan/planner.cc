@@ -258,9 +258,8 @@ enumeratePlans(const PlanInput &in)
 }
 
 std::optional<PlanCandidate>
-tryBestPlan(const PlanInput &in)
+tryPreferredPlan(const std::vector<PlanCandidate> &plans)
 {
-    const auto plans = enumeratePlans(in);
     if (plans.empty() || !plans.front().feasible)
         return std::nullopt;
     // Estimates this close are within the model's error bars; apply the
@@ -285,6 +284,12 @@ tryBestPlan(const PlanInput &in)
             best = &cand;
     }
     return *best;
+}
+
+std::optional<PlanCandidate>
+tryBestPlan(const PlanInput &in)
+{
+    return tryPreferredPlan(enumeratePlans(in));
 }
 
 PlanCandidate

@@ -84,8 +84,13 @@ struct PlanCandidate
  *  the infeasible ones with their rejection reasons. */
 [[nodiscard]] std::vector<PlanCandidate> enumeratePlans(const PlanInput &input);
 
-/** The fastest feasible candidate after the paper's Section 5.1
- *  near-tie preference rules, or nullopt when nothing fits. */
+/** The fastest feasible candidate of @p plans, an enumeratePlans()
+ *  result, after the paper's Section 5.1 near-tie preference rules, or
+ *  nullopt when nothing fits. */
+[[nodiscard]] std::optional<PlanCandidate>
+tryPreferredPlan(const std::vector<PlanCandidate> &plans);
+
+/** tryPreferredPlan(enumeratePlans(input)). */
 [[nodiscard]] std::optional<PlanCandidate> tryBestPlan(const PlanInput &input);
 
 /** tryBestPlan that aborts (user error) when no candidate fits. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 
 #include "llm4d/net/flow_sim.h"
 #include "llm4d/net/topology.h"
@@ -26,6 +27,16 @@ validated(TrainRunConfig cfg)
 {
     cfg.validate();
     return cfg;
+}
+
+/** @p other, once checked to simulate the same job as @p cfg. */
+const TrainRunSim &
+sameJob(const TrainRunConfig &cfg, const TrainRunSim &other)
+{
+    LLM4D_CHECK(cfg.job == other.config().job,
+                "a TrainRunSim can share the fault-free step only of a "
+                "TrainRunSim of the same job");
+    return other;
 }
 
 /** Find-or-compute on an ordered cache; @p compute runs on a miss only. */
@@ -225,13 +236,24 @@ mergeStragglerOnset(double tracked_speed,
 
 TrainRunSim::TrainRunSim(TrainRunConfig cfg)
     : cfg_(validated(std::move(cfg))),
-      base_sim_(cfg_.job), base_(base_sim_.run()),
+      base_sim_(std::make_shared<TrainSim>(cfg_.job)),
+      base_(base_sim_->run()),
       ckpt_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par, cfg_.storage),
       recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
                 cfg_.storage, cfg_.policy)
 {
     flops_per_gpu_step_ =
         base_.tflops_per_gpu * 1e12 * base_.step_seconds;
+}
+
+TrainRunSim::TrainRunSim(TrainRunConfig cfg, const TrainRunSim &same_job)
+    : cfg_(validated(std::move(cfg))),
+      base_sim_(sameJob(cfg_, same_job).base_sim_), base_(same_job.base_),
+      ckpt_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par, cfg_.storage),
+      recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
+                cfg_.storage, cfg_.policy),
+      flops_per_gpu_step_(same_job.flops_per_gpu_step_)
+{
 }
 
 double
@@ -295,7 +317,7 @@ TrainRunSim::degradedStepSeconds(
         PerfVariation perf = cfg_.job.perf;
         for (const auto &[rep, speed] : by_rep)
             perf.injectStraggler(rep, speed);
-        return std::max(base_sim_.run(perf).step_seconds,
+        return std::max(base_sim_->run(perf).step_seconds,
                         base_.step_seconds);
     });
 }
@@ -442,7 +464,7 @@ class TrainRunSim::RunState
     RunState(const TrainRunSim &sim, std::int64_t interval_steps)
         : sim_(sim), cfg_(sim.cfg_), pol_(sim.cfg_.policy),
           interval_steps_(interval_steps),
-          async_(pol_.checkpoint_mode == CheckpointMode::Async),
+          async_(pol_.checkpointMode() == CheckpointMode::Async),
           tiered_(cfg_.storage.hier.enabled),
           base_step_s_(sim.base_.step_seconds),
           wall_limit_(
@@ -456,10 +478,6 @@ class TrainRunSim::RunState
           // repair shop at all.
           repair_shop_(cfg_.job.cluster, cfg_.repairs, cfg_.seed),
           topo_(cfg_.job.cluster),
-          // A claim's location is read only by placement-aware policies;
-          // the location-blind model uses the pool as a plain count.
-          spare_pool_(cfg_.job.cluster, pol_.spare_placement,
-                      pol_.spare_hosts),
           dp_now_(cfg_.job.par.dp)
     {
     }
@@ -486,6 +504,7 @@ class TrainRunSim::RunState
         // true wall.
         rep_.wall_seconds = timeToSeconds(
             (finished_ || truncated_) ? stopped_at_ : eng_.now());
+        rep_.footprint = pol_.footprint();
         return std::move(rep_);
     }
 
@@ -525,17 +544,36 @@ class TrainRunSim::RunState
         return (ckpt_boundary_ + 1) % every == 0;
     }
 
-    bool canSwap() const
+    /** The warm-spare pool, built on first use. A claim's location is
+     *  read only by placement-aware policies; the location-blind model
+     *  uses the pool as a plain count. */
+    SparePool &sparePool()
     {
-        return pol_.mode == RecoveryMode::WarmSpare &&
-               spare_pool_.available() > 0;
+        if (!spare_pool_)
+            spare_pool_.emplace(pol_.sparePool(cfg_.job.cluster));
+        return *spare_pool_;
     }
 
-    bool canShrink() const
+    /** What a recovery dispatched now does. */
+    enum class Path
     {
-        return pol_.mode == RecoveryMode::WarmSpare &&
-               pol_.allow_dp_shrink && dp_now_ > 1 &&
-               sim_.canShrinkTo(dp_now_ - 1);
+        Swap,    ///< swap in a warm spare
+        Shrink,  ///< drop one DP replica group
+        Restart, ///< stop the world
+    };
+
+    /** Warm spare -> DP shrink -> full restart: the first the policy
+     *  allows and the pool and the shrunk layout can serve. */
+    Path recoveryPath()
+    {
+        if (pol_.mode() != RecoveryMode::WarmSpare)
+            return Path::Restart;
+        if (sparePool().available() > 0)
+            return Path::Swap;
+        if (dp_now_ > 1 && sim_.canShrinkTo(dp_now_ - 1) &&
+            pol_.allowDpShrink())
+            return Path::Shrink;
+        return Path::Restart;
     }
 
     double flapMultiplier() const
@@ -775,7 +813,7 @@ class TrainRunSim::RunState
     void handleDetected(std::int64_t detected)
     {
         auto &st = stragglers_[detected];
-        if (pol_.straggler_rebalance && st.speed > 0.0 && st.speed < 1.0 &&
+        if (pol_.stragglerRebalance() && st.speed > 0.0 && st.speed < 1.0 &&
             dp_now_ > 1) {
             const double degraded_ratio =
                 sim_.degradedStepSeconds({{detected, st.speed}}) /
@@ -784,7 +822,7 @@ class TrainRunSim::RunState
                 st.speed, dp_now_ - 1, sim_.stepReportAtDp(dp_now_).nmb,
                 sim_.rebalanceHeadroomMicrobatches(detected, dp_now_));
             if (plan.feasible &&
-                plan.residual_multiplier <= pol_.rebalance_max_residual &&
+                plan.residual_multiplier <= pol_.rebalanceMaxResidual() &&
                 plan.residual_multiplier < degraded_ratio) {
                 st.mitigated = true;
                 st.residual = plan.residual_multiplier;
@@ -793,7 +831,7 @@ class TrainRunSim::RunState
                 // to detection, no recovery work, no warmup.
                 beginOutage(&rep_.restart_seconds,
                             cfg_.detection.straggler_analysis_seconds +
-                                pol_.rebalance_seconds,
+                                pol_.rebalanceSeconds(),
                             0.0, false);
                 return;
             }
@@ -839,13 +877,13 @@ class TrainRunSim::RunState
      * partial-restart protocol is enabled; a full restart tears the
      * processes down and re-reads host-local NVMe instead.
      */
-    CheckpointTier restoreTier(BlastRadius radius) const
+    CheckpointTier restoreTier(BlastRadius radius)
     {
         if (!tiered_ || radius == BlastRadius::Host)
             return CheckpointTier::Global;
-        if (canSwap() || canShrink())
-            return pol_.partial_restart ? CheckpointTier::HbmPeer
-                                        : CheckpointTier::Global;
+        if (recoveryPath() != Path::Restart)
+            return pol_.partialRestart() ? CheckpointTier::HbmPeer
+                                         : CheckpointTier::Global;
         return CheckpointTier::HostLocal;
     }
 
@@ -865,12 +903,13 @@ class TrainRunSim::RunState
             ++rep_.partial_restarts;
         }
         RecoveryCostRequest req;
-        if (canSwap()) {
+        const Path path = recoveryPath();
+        if (path == Path::Swap) {
             ++rep_.spare_swaps;
             req.kind = tier == CheckpointTier::HbmPeer
                            ? RecoveryCostRequest::Kind::PartialRestart
                            : RecoveryCostRequest::Kind::SpareSwap;
-            const SpareClaim claim = *spare_pool_.claimNearest(victim_host);
+            const SpareClaim claim = *sparePool().claimNearest(victim_host);
             if (pol_.placementAware()) {
                 req.spare_path = claim.path;
                 if (!claim.pod_local) {
@@ -887,14 +926,14 @@ class TrainRunSim::RunState
                         cost.totalSeconds());
             return;
         }
-        if (canShrink()) {
+        if (path == Path::Shrink) {
             --dp_now_;
             ++rep_.dp_shrinks;
             req.kind = RecoveryCostRequest::Kind::Shrink;
             req.to_dp = dp_now_;
             req.restore_tier = tier;
             const double shrink_s = sim_.recoveryCost(req).totalSeconds();
-            tier_restore_s += shrink_s - pol_.swap_reinit_seconds;
+            tier_restore_s += shrink_s - pol_.swapReinitSeconds();
             beginOutage(&rep_.shrink_seconds, detection_s, shrink_s);
             return;
         }
@@ -921,14 +960,14 @@ class TrainRunSim::RunState
     void resume()
     {
         RecoveryCostRequest req;
-        if (pol_.placement_migration && displaced_ > 0 &&
-            repair_shop_.hasReady(eng_.now())) {
+        if (displaced_ > 0 && repair_shop_.hasReady(eng_.now()) &&
+            pol_.placementMigration()) {
             do {
                 repair_shop_.pop();
                 ++rep_.hosts_repaired;
                 --displaced_;
                 ++rep_.placement_migrations;
-                spare_pool_.refill();
+                sparePool().refill();
             } while (displaced_ > 0 && repair_shop_.hasReady(eng_.now()));
             req.kind = RecoveryCostRequest::Kind::MigrateHome;
             beginOutage(&rep_.displacement_seconds, 0.0,
@@ -936,18 +975,21 @@ class TrainRunSim::RunState
             return;
         }
         std::int64_t grew = 0;
-        while (pol_.allow_regrow && repair_shop_.hasReady(eng_.now())) {
-            const bool pool_low = spare_pool_.available() < pol_.spare_hosts;
+        while (repair_shop_.hasReady(eng_.now())) {
+            const bool pool_low =
+                sparePool().available() < sparePool().provisioned();
             const bool dp_low = dp_now_ + grew < cfg_.job.par.dp;
             if (!pool_low && !dp_low)
                 break; // fully re-expanded; repairs wait for demand
+            if (!pol_.allowRegrow())
+                break;
             // One repaired host unlocks one re-admission: a shrink or
             // swap leaves exactly one broken host (the healthy rest of
             // the dropped replica's group parks with it).
             repair_shop_.pop();
             ++rep_.hosts_repaired;
             if (pool_low)
-                spare_pool_.refill();
+                sparePool().refill();
             else
                 ++grew;
         }
@@ -1161,7 +1203,10 @@ class TrainRunSim::RunState
 
     const TrainRunSim &sim_;
     const TrainRunConfig &cfg_;
-    const RecoveryPolicy &pol_;
+    /** The only access to cfg_.policy: it records the swept knobs the
+     *  run reads into the report's footprint. Read a knob only after
+     *  the pure state predicates of its decision. */
+    RecordedPolicy pol_;
     const std::int64_t interval_steps_;
     const bool async_;
     const bool tiered_;
@@ -1171,7 +1216,7 @@ class TrainRunSim::RunState
     FaultModel faults_;
     RepairModel repair_shop_;
     const Topology topo_;
-    SparePool spare_pool_;
+    std::optional<SparePool> spare_pool_; ///< see sparePool()
     Engine eng_;
     TrainRunReport rep_;
     CoverageLedger ledger_;

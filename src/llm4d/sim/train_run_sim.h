@@ -54,6 +54,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -220,6 +221,8 @@ struct FaultCounts
     {
         return gpu_fatal + host_crash + link_flaps + stragglers;
     }
+
+    bool operator==(const FaultCounts &) const = default;
 };
 
 /** Outcome of one simulated training run. */
@@ -359,6 +362,17 @@ struct TrainRunReport
 
     /** Failure timeline that shaped this run (onset-ordered). */
     std::vector<FaultEvent> timeline;
+
+    /**
+     * The swept RecoveryPolicy knobs this run read. A run under any
+     * policy that differs only in knobs outside it is this run, bit
+     * for bit (sharesRun), which is how the planner shares runs.
+     */
+    PolicyFootprint footprint;
+
+    /** Every counter, bucket, timeline event and the footprint; a
+     *  field added later is compared too. */
+    bool operator==(const TrainRunReport &) const = default;
 };
 
 /** One point of a checkpoint-interval scan. */
@@ -372,12 +386,22 @@ struct IntervalScanPoint
  * Simulates whole training runs for one job configuration. run() and
  * the other const members fill internal pricing caches, so one instance
  * must not run on two threads at once; use one instance per thread.
+ * Instances built with the shared-job constructor share only the
+ * immutable TrainSim, never those caches.
  */
 class TrainRunSim
 {
   public:
     /** Validates the config and prices the fault-free step once. */
     explicit TrainRunSim(TrainRunConfig cfg);
+
+    /**
+     * Validates @p cfg and shares @p same_job's fault-free step: its
+     * immutable TrainSim and base report, instead of pricing them
+     * again. Aborts unless cfg.job == same_job.config().job; the rest
+     * of @p cfg (policy, storage, faults, ...) may differ.
+     */
+    TrainRunSim(TrainRunConfig cfg, const TrainRunSim &same_job);
 
     [[nodiscard]] const TrainRunConfig &config() const { return cfg_; }
 
@@ -470,8 +494,9 @@ class TrainRunSim
 
     TrainRunConfig cfg_;
     /** Prices the fault-free step and, with a changed PerfVariation,
-     *  every straggler set (shrunk DP degrees build their own). */
-    TrainSim base_sim_;
+     *  every straggler set (shrunk DP degrees build their own). Shared,
+     *  never copied, by every TrainRunSim of the same job. */
+    std::shared_ptr<const TrainSim> base_sim_;
     TrainStepReport base_;
     CheckpointModel ckpt_;
     RecoveryCostModel recovery_;

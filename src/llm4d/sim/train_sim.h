@@ -55,6 +55,10 @@ struct TrainJobConfig
 
     std::uint64_t seed = 1;
     PerfVariation perf;
+
+    /** Field-wise, through every struct it holds; a field added later
+     *  is compared too. */
+    bool operator==(const TrainJobConfig &) const = default;
 };
 
 /** Results of one simulated training step. */

@@ -25,6 +25,86 @@ smallInput()
     return in;
 }
 
+/**
+ * A worn 2,048-GPU question with every sweep axis open: fatal and host
+ * MTBF at 1/24 of the calibrated rates, stragglers at 1/10, pools of 0,
+ * 1 and 8 spares in every placement over four pods, and repairs fast
+ * enough to refill, regrow and migrate within the horizon.
+ */
+GoodputPlanInput
+wornFullGridInput()
+{
+    GoodputPlanInput in = smallInput();
+    GpuSpec &gpu = in.base.cluster.node.gpu;
+    gpu.fatal_mtbf_hours /= 24.0;
+    gpu.straggler_mtbf_hours /= 10.0;
+    in.base.cluster.node.host_mtbf_hours /= 24.0;
+    in.base.cluster.nodes_per_pod = 64;
+    // One candidate, tp8/pp16/dp16 over 240 sequences: 15 micro-batches
+    // per replica, so it can shrink to 15 replicas within pp.
+    in.base.global_batch_tokens = 240LL * 8192;
+    in.base.tp_options = {8};
+    in.base.cp_options = {1};
+    in.base.pp_options = {16};
+    in.top_k = 1;
+    in.repairs.gpu_repair_mean_hours = 0.5;
+    in.repairs.host_repair_mean_hours = 1.0;
+    in.spare_pool_options = {0, 1, 8};
+    in.hier_global_every_options = {0, 4};
+    in.partial_restart_options = {false, true};
+    in.placement_options = {SparePlacementPolicy::CentralPool,
+                            SparePlacementPolicy::PerPodReserve,
+                            SparePlacementPolicy::Adaptive};
+    in.straggler_correlation_options = {false, true};
+    in.placement_migration = true;
+    return in;
+}
+
+/** The TrainRunConfig of one sweep cell, built apart from the planner. */
+TrainRunConfig
+cellConfig(const GoodputPlanInput &in, const PlanCandidate &cand,
+           const GoodputSweepPoint &pt)
+{
+    TrainRunConfig cfg;
+    cfg.job.model = in.base.model;
+    cfg.job.cluster = in.base.cluster;
+    cfg.job.par = cand.par;
+    cfg.job.zero = cand.zero;
+    cfg.job.schedule = cand.schedule;
+    cfg.job.seq = in.base.seq;
+    cfg.job.global_batch_tokens = in.base.global_batch_tokens;
+    cfg.total_steps = in.horizon_steps;
+    cfg.checkpoint_interval_steps = 0;
+    cfg.checkpoint_interval_auto = true;
+    cfg.faults = in.faults;
+    cfg.faults.colocation.enabled = pt.straggler_correlation;
+    cfg.repairs = in.repairs;
+    cfg.storage = in.storage;
+    cfg.storage.hier.enabled = pt.hier_global_every > 0;
+    if (pt.hier_global_every > 0) {
+        cfg.storage.hier.global_every = pt.hier_global_every;
+        cfg.storage.hier.nvme_every =
+            std::min(in.storage.hier.nvme_every, pt.hier_global_every);
+    }
+    cfg.detection = in.detection;
+    cfg.restart = in.restart;
+    cfg.policy = pt.policy;
+    cfg.seed = in.fault_seed;
+    return cfg;
+}
+
+/** Cells of @p ranked that simulated their own run. */
+std::int64_t
+simulatedRuns(const std::vector<GoodputPlanCandidate> &ranked)
+{
+    std::int64_t runs = 0;
+    for (const GoodputPlanCandidate &cand : ranked) {
+        for (const GoodputSweepPoint &pt : cand.sweep)
+            runs += !pt.reuses_cell;
+    }
+    return runs;
+}
+
 bool
 sameRanking(const std::vector<GoodputPlanCandidate> &a,
             const std::vector<GoodputPlanCandidate> &b)
@@ -359,6 +439,62 @@ TEST(GoodputPlanner, AsyncCellsContractTheYoungDalyInterval)
                   sync_pt.checkpoint_interval_steps)
             << cand.analytic.par.str();
     }
+}
+
+TEST(GoodputPlanner, EveryCellEqualsAFreshRunOfItsConfig)
+{
+    // The oracle for run sharing: whether a cell simulated its run or
+    // reused an earlier cell's, its report and interval are what a
+    // fresh simulator of the cell's own config gives, bit for bit.
+    const GoodputPlanInput in = wornFullGridInput();
+    const auto ranked = planGoodput(in);
+    ASSERT_FALSE(ranked.empty());
+    std::int64_t cells = 0;
+    std::int64_t swapped = 0;
+    std::int64_t shrunk = 0;
+    std::int64_t regrown = 0;
+    std::int64_t migrated = 0;
+    for (const GoodputPlanCandidate &cand : ranked) {
+        for (std::size_t i = 0; i < cand.sweep.size(); ++i) {
+            const GoodputSweepPoint &pt = cand.sweep[i];
+            ++cells;
+            if (pt.reuses_cell) {
+                ASSERT_LT(*pt.reuses_cell, i);
+                EXPECT_FALSE(cand.sweep[*pt.reuses_cell].reuses_cell);
+            }
+            const TrainRunSim fresh(cellConfig(in, cand.analytic, pt));
+            EXPECT_EQ(pt.checkpoint_interval_steps,
+                      fresh.checkpointIntervalSteps());
+            const TrainRunReport rep = fresh.run();
+            EXPECT_TRUE(pt.report == rep)
+                << cand.analytic.par.str() << " cell " << i << ": wall "
+                << pt.report.wall_seconds << " s, fresh " << rep.wall_seconds
+                << " s";
+            swapped += rep.spare_swaps > 0;
+            shrunk += rep.dp_shrinks > 0;
+            regrown += rep.dp_regrows > 0;
+            migrated += rep.placement_migrations > 0;
+        }
+    }
+    // The grid reaches every recovery path, and shares runs.
+    EXPECT_GT(swapped, 0);
+    EXPECT_GT(shrunk, 0);
+    EXPECT_GT(regrown, 0);
+    EXPECT_GT(migrated, 0);
+    EXPECT_LT(simulatedRuns(ranked), cells);
+}
+
+TEST(GoodputPlanner, SmallInputSimulatesEachDistinctRunOnce)
+{
+    // 4 candidates x 14 policy cells. At nominal failure rates no fatal
+    // fault lands within the 1,200-step horizon, so no run reads a
+    // swept knob: each candidate simulates one sync and one async run.
+    const auto ranked = planGoodput(smallInput());
+    std::int64_t cells = 0;
+    for (const GoodputPlanCandidate &cand : ranked)
+        cells += static_cast<std::int64_t>(cand.sweep.size());
+    EXPECT_EQ(cells, 56);
+    EXPECT_EQ(simulatedRuns(ranked), 8);
 }
 
 TEST(GoodputPlanner, TryBestReturnsNulloptWhenNothingFits)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "llm4d/parallel/parallelism.h"
+#include "llm4d/simcore/rng.h"
 
 namespace llm4d {
 namespace {
@@ -1455,6 +1457,201 @@ TEST(TrainRunSim, ProductiveTimeIsIdealOnEveryRecoveryPath)
             << toString(static_cast<CheckpointTier>(t));
 }
 
+/**
+ * Shrink-capable 512-GPU job in four pods on a worn fleet: fatal and
+ * host MTBF at 1/24 of the calibrated rates, stragglers at 1/10, and
+ * repairs fast enough to refill, regrow and migrate within the run.
+ */
+TrainRunConfig
+wornFleetConfig()
+{
+    TrainRunConfig cfg;
+    cfg.job.cluster = ClusterSpec::llama3Production(512);
+    cfg.job.cluster.nodes_per_pod = 16;
+    cfg.job.par = ParallelismConfig{8, 1, 16, 4};
+    cfg.job.global_batch_tokens = 48LL * 8192;
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours /= 24.0;
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours /= 10.0;
+    cfg.job.cluster.node.host_mtbf_hours /= 24.0;
+    cfg.total_steps = 6000;
+    cfg.checkpoint_interval_steps = 40;
+    cfg.repairs.gpu_repair_mean_hours = 0.5;
+    cfg.repairs.host_repair_mean_hours = 1.0;
+    return cfg;
+}
+
+/** Whether RecoveryPolicy::validate and TrainRunConfig::validate accept
+ *  @p cfg's swept knobs (the rest of wornFleetConfig is valid). */
+bool
+knobsValid(const TrainRunConfig &cfg)
+{
+    const RecoveryPolicy &p = cfg.policy;
+    const bool needs_warm_spare =
+        p.spare_hosts > 0 || p.allow_regrow || p.partial_restart ||
+        p.placement_migration ||
+        p.spare_placement != SparePlacementPolicy::CentralPool;
+    return (p.mode == RecoveryMode::WarmSpare || !needs_warm_spare) &&
+           (!p.partial_restart || cfg.storage.hier.enabled);
+}
+
+/** A random valid policy, tier setting and fault seed on the worn fleet. */
+TrainRunConfig
+randomWornConfig(Rng &rng)
+{
+    TrainRunConfig cfg = wornFleetConfig();
+    cfg.seed = static_cast<std::uint64_t>(rng.uniformInt(1, 1000000));
+    // Short runs read few knobs and long ones run their pools dry.
+    cfg.total_steps = 2000 * rng.uniformInt(1, 6);
+    cfg.storage.hier.enabled = rng.bernoulli(0.5);
+    cfg.storage.hier.global_every = 4;
+    cfg.storage.hier.nvme_every = 2;
+    RecoveryPolicy &p = cfg.policy;
+    p.checkpoint_mode =
+        rng.bernoulli(0.5) ? CheckpointMode::Async : CheckpointMode::Sync;
+    p.straggler_rebalance = rng.bernoulli(0.5);
+    p.allow_dp_shrink = rng.bernoulli(0.5);
+    if (rng.bernoulli(0.2))
+        return cfg; // the full-restart baseline
+    p.mode = RecoveryMode::WarmSpare;
+    p.spare_hosts = rng.uniformInt(0, 2);
+    p.spare_placement = static_cast<SparePlacementPolicy>(
+        rng.uniformInt(0, kNumSparePlacementPolicies - 1));
+    p.placement_migration = rng.bernoulli(0.5);
+    p.allow_regrow = rng.bernoulli(0.5);
+    p.partial_restart = cfg.storage.hier.enabled && rng.bernoulli(0.5);
+    return cfg;
+}
+
+/** Every valid config that differs from @p cfg in one swept knob the
+ *  run did not read. */
+std::vector<TrainRunConfig>
+unreadKnobFlips(const TrainRunConfig &cfg, const PolicyFootprint &read)
+{
+    std::vector<TrainRunConfig> out;
+    const auto flip = [&](PolicyKnob knob, auto &&set) {
+        if (read.contains(knob))
+            return;
+        TrainRunConfig flipped = cfg;
+        set(flipped.policy);
+        if (knobsValid(flipped))
+            out.push_back(flipped);
+    };
+    flip(PolicyKnob::Mode, [](RecoveryPolicy &p) {
+        p.mode = p.mode == RecoveryMode::WarmSpare ? RecoveryMode::FullRestart
+                                                   : RecoveryMode::WarmSpare;
+    });
+    for (std::int64_t n = 0; n <= 2; ++n) {
+        if (n != cfg.policy.spare_hosts)
+            flip(PolicyKnob::SpareHosts,
+                 [n](RecoveryPolicy &p) { p.spare_hosts = n; });
+    }
+    for (int i = 0; i < kNumSparePlacementPolicies; ++i) {
+        const auto placement = static_cast<SparePlacementPolicy>(i);
+        if (placement != cfg.policy.spare_placement)
+            flip(PolicyKnob::SparePlacement, [placement](RecoveryPolicy &p) {
+                p.spare_placement = placement;
+            });
+    }
+    flip(PolicyKnob::PlacementMigration, [](RecoveryPolicy &p) {
+        p.placement_migration = !p.placement_migration;
+    });
+    flip(PolicyKnob::AllowDpShrink,
+         [](RecoveryPolicy &p) { p.allow_dp_shrink = !p.allow_dp_shrink; });
+    flip(PolicyKnob::AllowRegrow,
+         [](RecoveryPolicy &p) { p.allow_regrow = !p.allow_regrow; });
+    flip(PolicyKnob::PartialRestart,
+         [](RecoveryPolicy &p) { p.partial_restart = !p.partial_restart; });
+    return out;
+}
+
+std::string
+footprintText(const PolicyFootprint &fp)
+{
+    std::string text;
+    for (int i = 0; i < kNumPolicyKnobs; ++i) {
+        const auto knob = static_cast<PolicyKnob>(i);
+        if (fp.contains(knob))
+            text += std::string(text.empty() ? "" : ",") + toString(knob);
+    }
+    return "{" + text + "}";
+}
+
+TEST(TrainRunSim, FlippingAKnobOutsideTheFootprintChangesNothing)
+{
+    // Metamorphic soundness of the decision footprint: a run never read
+    // a knob outside it, so every valid flip of such a knob must give
+    // the identical report and footprint. Worn rates, pools of 0-2 that
+    // run dry, fast repairs and four pods reach every recording site.
+    const TrainRunSim job(wornFleetConfig());
+    Rng rng(20261017);
+    int flips = 0;
+    int runs_with_swaps = 0;
+    int runs_without_recoveries = 0;
+    std::array<int, kNumPolicyKnobs> recorded{};
+    for (int i = 0; i < 30; ++i) {
+        const TrainRunConfig cfg = randomWornConfig(rng);
+        ASSERT_TRUE(knobsValid(cfg));
+        const TrainRunReport rep = TrainRunSim(cfg, job).run();
+        for (int k = 0; k < kNumPolicyKnobs; ++k)
+            recorded[static_cast<std::size_t>(k)] +=
+                rep.footprint.contains(static_cast<PolicyKnob>(k));
+        if (rep.spare_swaps > 0) {
+            ++runs_with_swaps;
+            EXPECT_TRUE(rep.footprint.contains(PolicyKnob::Mode));
+            EXPECT_TRUE(rep.footprint.contains(PolicyKnob::SpareHosts));
+        }
+        // No fatal fault and no eviction: no recovery decision, no read.
+        if (rep.faults.gpu_fatal + rep.faults.host_crash == 0 &&
+            rep.restarts + rep.spare_swaps + rep.dp_shrinks == 0) {
+            ++runs_without_recoveries;
+            EXPECT_TRUE(rep.footprint.empty())
+                << "config " << i << ": " << footprintText(rep.footprint);
+        }
+        for (const TrainRunConfig &flipped :
+             unreadKnobFlips(cfg, rep.footprint)) {
+            ++flips;
+            const TrainRunReport other = TrainRunSim(flipped, job).run();
+            EXPECT_TRUE(other == rep)
+                << "config " << i << " footprint "
+                << footprintText(rep.footprint) << ": wall "
+                << rep.wall_seconds << " s became " << other.wall_seconds
+                << " s, footprint " << footprintText(other.footprint);
+        }
+    }
+    EXPECT_GT(runs_with_swaps, 0);
+    EXPECT_GT(runs_without_recoveries, 0);
+    EXPECT_GT(flips, 30);
+    // Every knob is read by some run, so every recording site ran.
+    for (int k = 0; k < kNumPolicyKnobs; ++k)
+        EXPECT_GT(recorded[static_cast<std::size_t>(k)], 0)
+            << toString(static_cast<PolicyKnob>(k));
+}
+
+TEST(TrainRunSim, RunsWithoutRecoveriesReadNoKnob)
+{
+    // No fatal fault and no eviction: stragglers are rebalanced away
+    // and flaps only degrade steps, so no recovery decision is taken
+    // and the run is the same under every swept knob.
+    TrainRunConfig cfg = baseConfig();
+    disableAllFaults(cfg);
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours = 3000.0;
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 3000.0;
+    cfg.detection.straggler.jitter_sigma = 0.1;
+    cfg.total_steps = 300;
+    cfg.storage.hier.enabled = true;
+    cfg.policy = RecoveryPolicy::elastic(2);
+    cfg.policy.spare_placement = SparePlacementPolicy::PerPodReserve;
+    cfg.policy.placement_migration = true;
+    cfg.policy.allow_regrow = true;
+    cfg.policy.partial_restart = true;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    ASSERT_TRUE(rep.completed);
+    ASSERT_GT(rep.rebalances, 0);
+    ASSERT_GT(rep.faults.link_flaps, 0);
+    ASSERT_EQ(rep.restarts + rep.spare_swaps + rep.dp_shrinks, 0);
+    EXPECT_TRUE(rep.footprint.empty()) << footprintText(rep.footprint);
+}
+
 TEST(TrainRunSimDeathTest, AutoIntervalValidation)
 {
     // An explicit interval alongside auto mode is a contradiction, not
@@ -1469,6 +1666,14 @@ TEST(TrainRunSimDeathTest, AutoIntervalValidation)
     no_faults.checkpoint_interval_steps = 0;
     no_faults.checkpoint_interval_auto = true;
     EXPECT_DEATH(TrainRunSim{no_faults}, "fatal failure class");
+}
+
+TEST(TrainRunSimDeathTest, SharedJobConstructorRejectsADifferentJob)
+{
+    const TrainRunSim job(wornFleetConfig());
+    TrainRunConfig other = wornFleetConfig();
+    other.job.seq = 4096;
+    EXPECT_DEATH(TrainRunSim(other, job), "same job");
 }
 
 TEST(TrainRunSimDeathTest, RejectsBadConfigs)
