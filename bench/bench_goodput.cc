@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,8 +91,9 @@ correlationSweep(std::int64_t gpus, const ParallelismConfig &par,
             correlationArm(gpus, par, batch_tokens, steps, seed);
         TrainRunConfig ccfg = icfg;
         ccfg.faults.colocation = burstyColocation();
-        const TrainRunReport indep = TrainRunSim(icfg).run();
-        const TrainRunReport corr = TrainRunSim(ccfg).run();
+        const TrainRunSim indep_sim(icfg);
+        const TrainRunReport indep = indep_sim.run();
+        const TrainRunReport corr = TrainRunSim(ccfg, indep_sim).run();
         // Pod occupancy of the correlated arm's onsets: the busiest
         // pod's share of all onsets shows the clustering directly.
         const std::int64_t gpus_per_pod =
@@ -163,7 +165,7 @@ main(int argc, char **argv)
     cfg.seed = 54;
     const TrainRunSim sim(cfg);
     cfg.checkpoint_interval_steps = sim.youngDalyIntervalSteps();
-    const TrainRunSim tuned(cfg);
+    const TrainRunSim tuned(cfg, sim);
     const TrainRunReport rep = tuned.run();
 
     // Llama 3: 419 interruptions / (54 d * 24 h) = 0.32 events/hour.
@@ -221,9 +223,9 @@ main(int argc, char **argv)
     TrainRunConfig async_cfg = cfg;
     async_cfg.policy.checkpoint_mode = CheckpointMode::Async;
     const std::int64_t yd_async =
-        TrainRunSim(async_cfg).youngDalyIntervalSteps();
+        TrainRunSim(async_cfg, tuned).youngDalyIntervalSteps();
     async_cfg.checkpoint_interval_steps = yd_async;
-    const TrainRunSim async_sim(async_cfg);
+    const TrainRunSim async_sim(async_cfg, tuned);
     const std::vector<std::int64_t> async_intervals = {
         std::max<std::int64_t>(1, yd_async / 4),
         std::max<std::int64_t>(1, yd_async / 2), yd_async, 2 * yd_async,
@@ -296,6 +298,7 @@ main(int argc, char **argv)
             {"elastic", RecoveryPolicy::elastic(sp.spares)},
         };
         std::vector<std::string> row = {TextTable::num(sp.gpus)};
+        std::optional<TrainRunSim> job; // the scale's job, priced once
         for (const PolicyColumn &col : columns) {
             TrainRunConfig pcfg;
             pcfg.job.cluster = ClusterSpec::llama3Production(sp.gpus);
@@ -304,9 +307,11 @@ main(int argc, char **argv)
             pcfg.total_steps = 12000; // ~1 simulated day per cell
             pcfg.seed = 54 + static_cast<std::uint64_t>(sp.gpus);
             pcfg.policy = col.policy;
+            if (!job)
+                job.emplace(pcfg);
             pcfg.checkpoint_interval_steps =
-                TrainRunSim(pcfg).youngDalyIntervalSteps();
-            const TrainRunReport r = TrainRunSim(pcfg).run();
+                TrainRunSim(pcfg, *job).youngDalyIntervalSteps();
+            const TrainRunReport r = TrainRunSim(pcfg, *job).run();
             row.push_back(TextTable::pct(r.goodputFraction()));
             if (sp.gpus == 16384) {
                 if (std::string(col.name) == "full/sync")
@@ -356,8 +361,9 @@ main(int argc, char **argv)
         ecfg.seed = seed;
         TrainRunConfig rcfg = ecfg;
         rcfg.policy.allow_regrow = true;
-        const TrainRunReport shrank = TrainRunSim(ecfg).run();
-        const TrainRunReport regrew = TrainRunSim(rcfg).run();
+        const TrainRunSim shrink_only(ecfg);
+        const TrainRunReport shrank = shrink_only.run();
+        const TrainRunReport regrew = TrainRunSim(rcfg, shrink_only).run();
         mean_ratio += regrew.goodput_tflops_per_gpu /
                       shrank.goodput_tflops_per_gpu;
         ++swept;
@@ -414,12 +420,12 @@ main(int argc, char **argv)
         TrainRunConfig hcfg = gcfg;
         hcfg.storage.hier.enabled = true;
         hcfg.policy.partial_restart = true;
-        gcfg.checkpoint_interval_steps =
-            TrainRunSim(gcfg).youngDalyIntervalSteps();
+        const TrainRunSim job(gcfg);
+        gcfg.checkpoint_interval_steps = job.youngDalyIntervalSteps();
         hcfg.checkpoint_interval_steps =
-            TrainRunSim(hcfg).youngDalyIntervalSteps();
-        const TrainRunReport global_only = TrainRunSim(gcfg).run();
-        const TrainRunReport hier = TrainRunSim(hcfg).run();
+            TrainRunSim(hcfg, job).youngDalyIntervalSteps();
+        const TrainRunReport global_only = TrainRunSim(gcfg, job).run();
+        const TrainRunReport hier = TrainRunSim(hcfg, job).run();
         hier_mean_ratio += hier.goodput_tflops_per_gpu /
                            global_only.goodput_tflops_per_gpu;
         ++hier_swept;

@@ -140,10 +140,9 @@ main()
         // Each scale gets its own optimal interval: smaller clusters have
         // slower per-host saves AND rarer failures, so they checkpoint
         // far less often.
-        cfg.checkpoint_interval_steps =
-            TrainRunSim(cfg).youngDalyIntervalSteps();
-        const TrainRunSim s(cfg);
-        const TrainRunReport r = s.run();
+        const TrainRunSim probe(cfg);
+        cfg.checkpoint_interval_steps = probe.youngDalyIntervalSteps();
+        const TrainRunReport r = TrainRunSim(cfg, probe).run();
         scale.row({TextTable::num(p.gpus),
                    TextTable::num(cfg.job.cluster.fatalFailuresPerHour(), 3),
                    TextTable::num(cfg.checkpoint_interval_steps) + " steps",
@@ -184,8 +183,7 @@ main()
     for (const Candidate &c : candidates) {
         TrainRunConfig cfg = productionRun();
         cfg.policy = c.policy;
-        const TrainRunSim s(cfg);
-        const TrainRunReport r = s.run();
+        const TrainRunReport r = TrainRunSim(cfg, sim).run();
         policies.row(
             {c.name, TextTable::num(r.restarts),
              TextTable::num(r.spare_swaps),
@@ -227,8 +225,9 @@ main()
     ecfg.repairs.host_repair_mean_hours = 0.3;
     TrainRunConfig rcfg = ecfg;
     rcfg.policy.allow_regrow = true;
-    const TrainRunReport shrank = TrainRunSim(ecfg).run();
-    const TrainRunReport regrew = TrainRunSim(rcfg).run();
+    const TrainRunSim shrink_only(ecfg);
+    const TrainRunReport shrank = shrink_only.run();
+    const TrainRunReport regrew = TrainRunSim(rcfg, shrink_only).run();
     TextTable regrow("Shrink-only vs DP-regrow, same fault + repair "
                      "timeline (tp8 cp8 pp16 dp16, 1 spare)");
     regrow.header({"metric", "shrink-only", "+ regrow"});
@@ -279,16 +278,17 @@ main()
     // blocking cost is the HBM mirror, so its optimum contracts to a
     // few steps and the global write (every 16th boundary) still lands
     // more often than the global-only arm's every boundary.
+    // Both arms run section 5's job, so they share its pricing.
     TrainRunConfig gcfg = ecfg;
     gcfg.checkpoint_interval_steps =
-        TrainRunSim(gcfg).youngDalyIntervalSteps();
+        TrainRunSim(gcfg, shrink_only).youngDalyIntervalSteps();
     TrainRunConfig hcfg = gcfg;
     hcfg.storage.hier.enabled = true;
     hcfg.policy.partial_restart = true;
     hcfg.checkpoint_interval_steps =
-        TrainRunSim(hcfg).youngDalyIntervalSteps();
-    const TrainRunReport global_only = TrainRunSim(gcfg).run();
-    const TrainRunReport hier = TrainRunSim(hcfg).run();
+        TrainRunSim(hcfg, shrink_only).youngDalyIntervalSteps();
+    const TrainRunReport global_only = TrainRunSim(gcfg, shrink_only).run();
+    const TrainRunReport hier = TrainRunSim(hcfg, shrink_only).run();
     TextTable tiers("Global-only vs hierarchical tiers + partial "
                     "restart, same fault timeline");
     tiers.header({"metric", "global-only", "tiers+partial"});

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-command pre-merge gate, four tiers:
+# One-command pre-merge gate, five tiers:
 #
 #   1. default  — -Werror build + full test suite (includes the lint
 #                 self-tests and the tree-is-lint-clean gate)
@@ -12,8 +12,11 @@
 #   3. sanitize — ASan + UBSan + float-divide-by-zero build, all tests
 #   4. audit    — runtime invariant auditor build (-DLLM4D_AUDIT=ON),
 #                 all tests + the audit death tests
+#   5. tsan     — ThreadSanitizer build, the concurrency tests (selected
+#                 by name: death tests fork, which TSan handles poorly
+#                 in a threaded process)
 #
-#   ./scripts/check.sh          # all four tiers
+#   ./scripts/check.sh          # all five tiers
 #   ./scripts/check.sh --fast   # tier 1 + lint only
 #   ./scripts/check.sh --lint   # lint only (assumes an existing build/)
 #
@@ -73,7 +76,7 @@ ctest --preset default
 run_lint
 
 if [[ "${fast}" -eq 1 ]]; then
-    echo "Tier 1 + lint passed (--fast: sanitize and audit tiers skipped)."
+    echo "Tier 1 + lint passed (--fast: sanitize, audit and tsan tiers skipped)."
     exit 0
 fi
 
@@ -86,5 +89,10 @@ echo "== tier 3: runtime invariant auditor build + audit-labeled tests =="
 cmake --preset audit -DLLM4D_WERROR=ON
 cmake --build --preset audit -j "${jobs}"
 ctest --preset audit
+
+echo "== tier 4: ThreadSanitizer build + concurrency tests =="
+cmake --preset tsan -DLLM4D_WERROR=ON
+cmake --build --preset tsan -j "${jobs}"
+ctest --preset tsan
 
 echo "All checks passed."

@@ -223,7 +223,7 @@ planGoodput(const GoodputPlanInput &in)
                              in.hier_global_every_options.size() *
                              in.straggler_correlation_options.size());
         // The candidate's first simulated cell; every later one shares
-        // its priced fault-free step (all cells run the same job).
+        // its JobPricing (all cells run the same job).
         std::optional<TrainRunSim> first_sim;
         for (const RecoveryPolicy &policy : policies) {
             for (const std::int64_t hier_n : in.hier_global_every_options) {

@@ -32,7 +32,8 @@
  *     optionally with displaced-rank migration). Checkpoint intervals
  *     are Young–Daly auto-tuned per point so a policy flip cannot
  *     desynchronize them. Each distinct outcome is simulated once: a
- *     candidate prices its fault-free step once for all its cells, and
+ *     candidate prices its fault-free step, its straggler sets and its
+ *     shrunk steps once for all its cells (one shared JobPricing), and
  *     a cell that differs from an earlier simulated cell only in knobs
  *     that run never read reuses its report (GoodputSweepPoint::
  *     reuses_cell).

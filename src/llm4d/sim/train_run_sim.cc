@@ -34,20 +34,9 @@ const TrainRunSim &
 sameJob(const TrainRunConfig &cfg, const TrainRunSim &other)
 {
     LLM4D_CHECK(cfg.job == other.config().job,
-                "a TrainRunSim can share the fault-free step only of a "
+                "a TrainRunSim can share job pricing only with a "
                 "TrainRunSim of the same job");
     return other;
-}
-
-/** Find-or-compute on an ordered cache; @p compute runs on a miss only. */
-template <typename Map, typename Compute>
-const typename Map::mapped_type &
-memoize(Map &cache, const typename Map::key_type &key, Compute &&compute)
-{
-    auto it = cache.find(key);
-    if (it == cache.end())
-        it = cache.emplace(key, compute()).first;
-    return it->second;
 }
 
 /**
@@ -234,25 +223,76 @@ mergeStragglerOnset(double tracked_speed,
     return merge;
 }
 
+JobPricing::JobPricing(TrainJobConfig job)
+    : sim_(std::move(job)), base_(sim_.run()),
+      // The displaced rank's DP traffic crosses the spine, which offers
+      // 1/oversubscription of the pod-local NIC capacity.
+      displacement_slowdown_(
+          nicSlowdown(base_, sim_.config().cluster,
+                      1.0 / sim_.config().cluster.spine_oversubscription))
+{
+}
+
+double
+JobPricing::degradedStepSeconds(
+    const std::vector<std::pair<std::int64_t, double>> &active) const
+{
+    LLM4D_ASSERT(!active.empty(),
+                 "joint straggler pricing needs at least one straggler");
+    // TrainSim's cost table only samples the representative rank of each
+    // PP coordinate, so map every straggler onto the representative of
+    // its pipeline stage; synchronized training then propagates the
+    // compounded slowdown to the whole step. Two stragglers on the same
+    // stage collapse to the slowest — the stage already waits for its
+    // worst rank, so their slowdowns do not stack.
+    const RankGrid grid(sim_.config().par);
+    std::map<std::int64_t, double> by_rep;
+    for (const auto &[rank, speed] : active) {
+        const std::int64_t pp_coord = grid.coordOf(rank).pp;
+        const std::int64_t rep = grid.rankOf(RankCoord{0, 0, pp_coord, 0});
+        const auto it = by_rep.find(rep);
+        if (it == by_rep.end() || speed < it->second)
+            by_rep[rep] = speed;
+    }
+    return degraded_steps_.get(by_rep, [&] {
+        PerfVariation perf = sim_.config().perf;
+        for (const auto &[rep, speed] : by_rep)
+            perf.injectStraggler(rep, speed);
+        return std::max(sim_.run(perf).step_seconds, base_.step_seconds);
+    });
+}
+
+const TrainStepReport &
+JobPricing::stepReportAtDp(std::int64_t dp) const
+{
+    if (dp == sim_.config().par.dp)
+        return base_;
+    // Same global batch over fewer replicas: each survivor runs more
+    // micro-batches, so the fault-free step gets strictly slower.
+    return shrunk_steps_.get(dp, [&] {
+        TrainJobConfig shrunk = sim_.config();
+        shrunk.par = RecoveryCostModel::shrunkPar(shrunk.par, dp);
+        shrunk.cluster =
+            RecoveryCostModel::shrunkCluster(shrunk.cluster, shrunk.par);
+        return TrainSim(shrunk).run();
+    });
+}
+
 TrainRunSim::TrainRunSim(TrainRunConfig cfg)
     : cfg_(validated(std::move(cfg))),
-      base_sim_(std::make_shared<TrainSim>(cfg_.job)),
-      base_(base_sim_->run()),
+      job_(std::make_shared<const JobPricing>(cfg_.job)),
       ckpt_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par, cfg_.storage),
       recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
                 cfg_.storage, cfg_.policy)
 {
-    flops_per_gpu_step_ =
-        base_.tflops_per_gpu * 1e12 * base_.step_seconds;
 }
 
 TrainRunSim::TrainRunSim(TrainRunConfig cfg, const TrainRunSim &same_job)
     : cfg_(validated(std::move(cfg))),
-      base_sim_(sameJob(cfg_, same_job).base_sim_), base_(same_job.base_),
+      job_(sameJob(cfg_, same_job).job_),
       ckpt_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par, cfg_.storage),
       recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
-                cfg_.storage, cfg_.policy),
-      flops_per_gpu_step_(same_job.flops_per_gpu_step_)
+                cfg_.storage, cfg_.policy)
 {
 }
 
@@ -289,37 +329,7 @@ TrainRunSim::youngDalyIntervalSteps() const
         kSecondsPerHour / fatal_rate, blockingSaveSeconds());
     return std::max<std::int64_t>(
         1, static_cast<std::int64_t>(
-               std::llround(yd_seconds / base_.step_seconds)));
-}
-
-double
-TrainRunSim::degradedStepSeconds(
-    const std::vector<std::pair<std::int64_t, double>> &active) const
-{
-    LLM4D_ASSERT(!active.empty(),
-                 "joint straggler pricing needs at least one straggler");
-    // TrainSim's cost table only samples the representative rank of each
-    // PP coordinate, so map every straggler onto the representative of
-    // its pipeline stage; synchronized training then propagates the
-    // compounded slowdown to the whole step. Two stragglers on the same
-    // stage collapse to the slowest — the stage already waits for its
-    // worst rank, so their slowdowns do not stack.
-    const RankGrid grid(cfg_.job.par);
-    std::map<std::int64_t, double> by_rep;
-    for (const auto &[rank, speed] : active) {
-        const std::int64_t pp_coord = grid.coordOf(rank).pp;
-        const std::int64_t rep = grid.rankOf(RankCoord{0, 0, pp_coord, 0});
-        const auto it = by_rep.find(rep);
-        if (it == by_rep.end() || speed < it->second)
-            by_rep[rep] = speed;
-    }
-    return memoize(degraded_cache_, by_rep, [&] {
-        PerfVariation perf = cfg_.job.perf;
-        for (const auto &[rep, speed] : by_rep)
-            perf.injectStraggler(rep, speed);
-        return std::max(base_sim_->run(perf).step_seconds,
-                        base_.step_seconds);
-    });
+               std::llround(yd_seconds / baseStep().step_seconds)));
 }
 
 bool
@@ -349,59 +359,7 @@ TrainRunSim::canShrinkTo(std::int64_t dp) const
     // past one micro-batch per pipeline stage in flight, so survivors
     // cannot absorb more micro-batches than the pipeline is deep.
     const std::int64_t shrunk_nmb = gbs_seqs / dp / cfg_.job.mbs;
-    return shrunk_nmb <= std::max(base_.nmb, cfg_.job.par.pp);
-}
-
-const TrainStepReport &
-TrainRunSim::stepReportAtDp(std::int64_t dp) const
-{
-    if (dp == cfg_.job.par.dp)
-        return base_;
-    // Same global batch over fewer replicas: each survivor runs more
-    // micro-batches, so the fault-free step gets strictly slower.
-    return memoize(shrunk_report_cache_, dp, [&] {
-        TrainJobConfig job = cfg_.job;
-        job.par = RecoveryCostModel::shrunkPar(job.par, dp);
-        job.cluster = RecoveryCostModel::shrunkCluster(job.cluster, job.par);
-        return TrainSim(job).run();
-    });
-}
-
-double
-TrainRunSim::displacementSlowdown() const
-{
-    // The displaced rank's DP traffic crosses the spine, which offers
-    // 1/oversubscription of the pod-local NIC capacity.
-    if (displacement_slowdown_ <= 0.0)
-        displacement_slowdown_ =
-            nicSlowdown(base_, cfg_.job.cluster,
-                        1.0 / cfg_.job.cluster.spine_oversubscription);
-    return displacement_slowdown_;
-}
-
-const CheckpointModel &
-TrainRunSim::checkpointAt(std::int64_t dp) const
-{
-    if (dp == cfg_.job.par.dp)
-        return ckpt_;
-    return memoize(shrunk_ckpt_cache_, dp, [&] {
-        const ParallelismConfig par =
-            RecoveryCostModel::shrunkPar(cfg_.job.par, dp);
-        return CheckpointModel(
-            cfg_.job.model,
-            RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par), par,
-            cfg_.storage);
-    });
-}
-
-const CostBreakdown &
-TrainRunSim::recoveryCost(const RecoveryCostRequest &req) const
-{
-    return memoize(
-        recovery_cost_cache_,
-        std::make_tuple(req.kind, req.to_dp, req.restore_tier,
-                        req.spare_path),
-        [&] { return recovery_.price(req); });
+    return shrunk_nmb <= std::max(baseStep().nmb, cfg_.job.par.pp);
 }
 
 double
@@ -416,7 +374,7 @@ TrainRunSim::rebalanceHeadroomMicrobatches(std::int64_t straggler_rank,
     // what the peers can absorb.
     const RankGrid grid(cfg_.job.par);
     const std::int64_t pp_coord = grid.coordOf(straggler_rank).pp;
-    const TrainStepReport &step = stepReportAtDp(dp);
+    const TrainStepReport &step = job_->stepReportAtDp(dp);
     const auto &mem =
         step.pp_rank_memory[static_cast<std::size_t>(pp_coord)];
     const double headroom =
@@ -462,11 +420,11 @@ class TrainRunSim::RunState
 {
   public:
     RunState(const TrainRunSim &sim, std::int64_t interval_steps)
-        : sim_(sim), cfg_(sim.cfg_), pol_(sim.cfg_.policy),
+        : sim_(sim), job_(*sim.job_), cfg_(sim.cfg_), pol_(sim.cfg_.policy),
           interval_steps_(interval_steps),
           async_(pol_.checkpointMode() == CheckpointMode::Async),
           tiered_(cfg_.storage.hier.enabled),
-          base_step_s_(sim.base_.step_seconds),
+          base_step_s_(job_.baseStep().step_seconds),
           wall_limit_(
               secondsToTime(cfg_.max_wall_days * 24.0 * kSecondsPerHour)),
           faults_(cfg_.job.cluster, cfg_.faults, cfg_.seed),
@@ -478,7 +436,7 @@ class TrainRunSim::RunState
           // repair shop at all.
           repair_shop_(cfg_.job.cluster, cfg_.repairs, cfg_.seed),
           topo_(cfg_.job.cluster),
-          dp_now_(cfg_.job.par.dp)
+          dp_now_(cfg_.job.par.dp), step_(&job_.baseStep()), ckpt_(sim.ckpt_)
     {
     }
 
@@ -535,7 +493,23 @@ class TrainRunSim::RunState
         TierBoundary, ///< HBM mirror (+ NVMe on its cadence)
     };
 
-    const CheckpointModel &ckpt() const { return sim_.checkpointAt(dp_now_); }
+    /** Change the DP degree to @p dp and price the step and the
+     *  checkpoint at it (the configured degree's are the job's own). */
+    void setDp(std::int64_t dp)
+    {
+        dp_now_ = dp;
+        step_ = &job_.stepReportAtDp(dp);
+        if (dp == cfg_.job.par.dp) {
+            ckpt_ = sim_.ckpt_;
+            return;
+        }
+        const ParallelismConfig par =
+            RecoveryCostModel::shrunkPar(cfg_.job.par, dp);
+        ckpt_ = CheckpointModel(
+            cfg_.job.model,
+            RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par), par,
+            cfg_.storage);
+    }
 
     /** Whether the tier cadence counter's next boundary is due every
      *  @p every boundaries. */
@@ -585,7 +559,7 @@ class TrainRunSim::RunState
         }
         if (worst_capacity >= 1.0)
             return 1.0;
-        return nicSlowdown(sim_.base_, cfg_.job.cluster, worst_capacity);
+        return nicSlowdown(job_.baseStep(), cfg_.job.cluster, worst_capacity);
     }
 
     double currentStepSeconds() const
@@ -594,8 +568,8 @@ class TrainRunSim::RunState
         // the oversubscribed spine; synchronized training makes the
         // whole step wait for it.
         const double eff = std::max(
-            sim_.stepReportAtDp(dp_now_).step_seconds *
-                (displaced_ > 0 ? sim_.displacementSlowdown() : 1.0),
+            step_->step_seconds *
+                (displaced_ > 0 ? job_.displacementSlowdown() : 1.0),
             base_step_s_);
         double s = eff;
         double worst_residual = 1.0;
@@ -610,7 +584,7 @@ class TrainRunSim::RunState
                 active.emplace_back(rank, st.speed);
         }
         if (!active.empty())
-            s = std::max(s, eff * sim_.degradedStepSeconds(active) /
+            s = std::max(s, eff * job_.degradedStepSeconds(active) /
                                 base_step_s_);
         s = std::max(s, eff * worst_residual);
         s *= flapMultiplier();
@@ -684,8 +658,8 @@ class TrainRunSim::RunState
         const bool nvme_b = boundaryDue(cfg_.storage.hier.global_every) ||
                             boundaryDue(cfg_.storage.hier.nvme_every);
         startWrite(Write::TierBoundary,
-                   ckpt().hbmMirrorSeconds() +
-                       (nvme_b ? ckpt().nvmeWriteSeconds() : 0.0));
+                   ckpt_.hbmMirrorSeconds() +
+                       (nvme_b ? ckpt_.nvmeWriteSeconds() : 0.0));
     }
 
     /** The single checkpoint-write path: block the step for @p seconds,
@@ -717,7 +691,7 @@ class TrainRunSim::RunState
             // background. With tiers it also supersedes local coverage.
             ledger_.fold(Rung::Tentative, Rung::Pending);
             drain_active_ = true;
-            drain_event_ = eng_.schedule(secondsToTime(ckpt().drainSeconds()),
+            drain_event_ = eng_.schedule(secondsToTime(ckpt_.drainSeconds()),
                                          [this] { onDrainDone(); });
             if (finishing_ || evict_rank_ >= 0) {
                 // Durability is on the critical path: block for the
@@ -755,14 +729,14 @@ class TrainRunSim::RunState
     void persist()
     {
         if (!async_) {
-            startWrite(Write::Save, ckpt().saveSeconds());
+            startWrite(Write::Save, ckpt_.saveSeconds());
         } else if (drain_active_) {
             // The single host snapshot buffer forces a stall while the
             // previous drain is still writing it out.
             wait_ = AsyncWait::Snapshot;
             stall_started_ = eng_.now();
         } else {
-            startWrite(Write::Snapshot, ckpt().snapshotSeconds());
+            startWrite(Write::Snapshot, ckpt_.snapshotSeconds());
         }
     }
 
@@ -816,10 +790,10 @@ class TrainRunSim::RunState
         if (pol_.stragglerRebalance() && st.speed > 0.0 && st.speed < 1.0 &&
             dp_now_ > 1) {
             const double degraded_ratio =
-                sim_.degradedStepSeconds({{detected, st.speed}}) /
+                job_.degradedStepSeconds({{detected, st.speed}}) /
                 base_step_s_;
             const RebalancePlan plan = planMicrobatchRebalance(
-                st.speed, dp_now_ - 1, sim_.stepReportAtDp(dp_now_).nmb,
+                st.speed, dp_now_ - 1, step_->nmb,
                 sim_.rebalanceHeadroomMicrobatches(detected, dp_now_));
             if (plan.feasible &&
                 plan.residual_multiplier <= pol_.rebalanceMaxResidual() &&
@@ -920,27 +894,27 @@ class TrainRunSim::RunState
                     ++displaced_;
                 }
             }
-            const CostBreakdown &cost = sim_.recoveryCost(req);
+            const CostBreakdown cost = sim_.recovery_.price(req);
             tier_restore_s += cost.restoreCriticalSeconds();
             beginOutage(&rep_.spare_swap_seconds, detection_s,
                         cost.totalSeconds());
             return;
         }
         if (path == Path::Shrink) {
-            --dp_now_;
+            setDp(dp_now_ - 1);
             ++rep_.dp_shrinks;
             req.kind = RecoveryCostRequest::Kind::Shrink;
             req.to_dp = dp_now_;
             req.restore_tier = tier;
-            const double shrink_s = sim_.recoveryCost(req).totalSeconds();
+            const double shrink_s = sim_.recovery_.price(req).totalSeconds();
             tier_restore_s += shrink_s - pol_.swapReinitSeconds();
             beginOutage(&rep_.shrink_seconds, detection_s, shrink_s);
             return;
         }
         ++rep_.restarts;
         const double load_s = tier == CheckpointTier::HostLocal
-                                  ? ckpt().nvmeRestoreSeconds()
-                                  : ckpt().loadSeconds();
+                                  ? ckpt_.nvmeRestoreSeconds()
+                                  : ckpt_.loadSeconds();
         tier_restore_s += load_s;
         beginOutage(&rep_.restart_seconds, detection_s,
                     cfg_.restart.reinit_seconds + load_s);
@@ -971,7 +945,7 @@ class TrainRunSim::RunState
             } while (displaced_ > 0 && repair_shop_.hasReady(eng_.now()));
             req.kind = RecoveryCostRequest::Kind::MigrateHome;
             beginOutage(&rep_.displacement_seconds, 0.0,
-                        sim_.recoveryCost(req).totalSeconds());
+                        sim_.recovery_.price(req).totalSeconds());
             return;
         }
         std::int64_t grew = 0;
@@ -997,14 +971,14 @@ class TrainRunSim::RunState
             scheduleStep();
             return;
         }
-        dp_now_ += grew;
+        setDp(dp_now_ + grew);
         rep_.dp_regrows += grew;
         // Nothing is rolled back: the re-admitted replica pulls live
         // state from its peers, so tentative/pending work survives.
         req.kind = RecoveryCostRequest::Kind::Regrow;
         req.to_dp = dp_now_;
         beginOutage(&rep_.regrow_seconds, 0.0,
-                    sim_.recoveryCost(req).totalSeconds());
+                    sim_.recovery_.price(req).totalSeconds());
     }
 
     /** Charge the elapsed part of a drain stall as real wall time. */
@@ -1202,6 +1176,7 @@ class TrainRunSim::RunState
     }
 
     const TrainRunSim &sim_;
+    const JobPricing &job_;
     const TrainRunConfig &cfg_;
     /** The only access to cfg_.policy: it records the swept knobs the
      *  run reads into the report's footprint. Read a knob only after
@@ -1229,7 +1204,9 @@ class TrainRunSim::RunState
     FaultEvent next_fault_;    ///< the one queued fault event
 
     std::int64_t ckpt_boundary_ = 0; ///< cadence counter, never rolled back
-    std::int64_t dp_now_;            ///< shrinks are persistent
+    std::int64_t dp_now_;            ///< shrinks are persistent; see setDp()
+    const TrainStepReport *step_;    ///< fault-free step at dp_now_
+    CheckpointModel ckpt_;           ///< checkpoint pricing at dp_now_
     std::int64_t displaced_ = 0;     ///< ranks running on cross-pod spares
     std::int64_t warmup_left_ = 0;
     std::int64_t evict_rank_ = -1;   ///< straggler awaiting durable evict
@@ -1259,12 +1236,15 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
 {
     LLM4D_CHECK(interval_steps > 0, "checkpoint interval must be positive");
     TrainRunReport rep = RunState(*this, interval_steps).run();
-    rep.base_tflops_per_gpu = base_.tflops_per_gpu;
+    const TrainStepReport &base = baseStep();
+    const double flops_per_gpu_step =
+        base.tflops_per_gpu * 1e12 * base.step_seconds;
+    rep.base_tflops_per_gpu = base.tflops_per_gpu;
     rep.ideal_seconds =
-        static_cast<double>(cfg_.total_steps) * base_.step_seconds;
+        static_cast<double>(cfg_.total_steps) * base.step_seconds;
     rep.goodput_tflops_per_gpu =
         rep.wall_seconds > 0.0
-            ? flops_per_gpu_step_ *
+            ? flops_per_gpu_step *
                   static_cast<double>(rep.steps_committed) /
                   rep.wall_seconds / 1e12
             : 0.0;

@@ -55,7 +55,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -66,6 +65,7 @@
 #include "llm4d/fault/repair_model.h"
 #include "llm4d/sim/train_sim.h"
 #include "llm4d/simcore/audit.h"
+#include "llm4d/simcore/memo.h"
 
 namespace llm4d {
 
@@ -383,30 +383,89 @@ struct IntervalScanPoint
 };
 
 /**
- * Simulates whole training runs for one job configuration. run() and
- * the other const members fill internal pricing caches, so one instance
- * must not run on two threads at once; use one instance per thread.
- * Instances built with the shared-job constructor share only the
- * immutable TrainSim, never those caches.
+ * The prices that depend on the job alone: the fault-free step, the
+ * step under each straggler set, the step at each shrunk DP degree and
+ * the displaced-rank slowdown. Built once per job and shared, never
+ * copied, by every TrainRunSim of that job (TrainRunSim(cfg, same_job)),
+ * so a planner candidate's cells price each of them once between them.
+ * Thread-safe: the two lazily priced families go through a Memo, and
+ * each value is a pure function of its key, so no thread timing can
+ * change a report. A new job-keyed price belongs here.
+ */
+class JobPricing
+{
+  public:
+    /** Prices the fault-free step and the displaced-rank slowdown. */
+    explicit JobPricing(TrainJobConfig job);
+
+    /** The fault-free per-step report. */
+    [[nodiscard]] const TrainStepReport &baseStep() const { return base_; }
+
+    /**
+     * Step seconds with the whole active-straggler set @p active
+     * ((rank, speed) pairs) injected into *one* rerun of the base
+     * TrainSim (its PerfVariation changed, its masks and schedule
+     * reused): the synchronized step pays every slow stage at once.
+     * Stragglers on one PP stage collapse to the slowest (the stage
+     * already waits for its worst rank). Memoized on that canonical
+     * (stage representative, speed) set.
+     */
+    [[nodiscard]] double degradedStepSeconds(
+        const std::vector<std::pair<std::int64_t, double>> &active) const;
+
+    /** Fault-free step report at DP degree @p dp (a TrainSim of the
+     *  shrunk job, memoized; baseStep() at the configured degree). Same
+     *  global batch, so fewer replicas -> slower steps. */
+    [[nodiscard]] const TrainStepReport &stepReportAtDp(std::int64_t dp) const;
+
+    /** Step-time multiplier while any rank is displaced cross-pod:
+     *  the NIC-bound share of the step runs at spine (1/oversub)
+     *  capacity, through the same FlowSim machinery as a link flap. */
+    [[nodiscard]] double displacementSlowdown() const
+    {
+        return displacement_slowdown_;
+    }
+
+  private:
+    /** Prices the fault-free step and, with a changed PerfVariation,
+     *  every straggler set (shrunk DP degrees build their own). */
+    TrainSim sim_;
+    TrainStepReport base_;
+    double displacement_slowdown_ = 0.0;
+    /** Keyed by the (stage representative rank -> slowest speed) map. */
+    Memo<std::map<std::int64_t, double>, double> degraded_steps_;
+    Memo<std::int64_t, TrainStepReport> shrunk_steps_;
+};
+
+/**
+ * Simulates whole training runs for one job configuration. Immutable
+ * after construction, so one instance may run on many threads at once.
+ * Prices live with their key: the job's prices in a shared JobPricing,
+ * the run's (checkpoint cost at the current DP width, recovery costs)
+ * in the run itself.
  */
 class TrainRunSim
 {
   public:
-    /** Validates the config and prices the fault-free step once. */
+    /** Validates the config and prices the job (JobPricing). */
     explicit TrainRunSim(TrainRunConfig cfg);
 
     /**
-     * Validates @p cfg and shares @p same_job's fault-free step: its
-     * immutable TrainSim and base report, instead of pricing them
-     * again. Aborts unless cfg.job == same_job.config().job; the rest
-     * of @p cfg (policy, storage, faults, ...) may differ.
+     * Validates @p cfg and shares @p same_job's JobPricing instead of
+     * pricing the job again. Aborts unless
+     * cfg.job == same_job.config().job; the rest of @p cfg (policy,
+     * storage, faults, ...) may differ.
      */
     TrainRunSim(TrainRunConfig cfg, const TrainRunSim &same_job);
 
     [[nodiscard]] const TrainRunConfig &config() const { return cfg_; }
 
-    /** The fault-free per-step report the run is built on. */
-    [[nodiscard]] const TrainStepReport &baseStep() const { return base_; }
+    /** The fault-free per-step report the run is built on (the shared
+     *  JobPricing's, so every instance of one job returns one object). */
+    [[nodiscard]] const TrainStepReport &baseStep() const
+    {
+        return job_->baseStep();
+    }
 
     /** Checkpoint save/load pricing in use. */
     [[nodiscard]] const CheckpointModel &checkpoint() const { return ckpt_; }
@@ -445,46 +504,12 @@ class TrainRunSim
      *  the full sharded save (sync) or just the DRAM snapshot (async). */
     [[nodiscard]] double blockingSaveSeconds() const;
 
-    /** Recovery-path transition pricing for this job. */
-    [[nodiscard]] const RecoveryCostModel &recovery() const { return recovery_; }
-
   private:
     /** One run's state and event handlers (train_run_sim.cc). */
     class RunState;
 
-    /**
-     * Step seconds with the whole active-straggler set @p active
-     * ((rank, speed) pairs) injected into *one* rerun of base_sim_ (its
-     * PerfVariation changed, its masks and schedule reused). The
-     * synchronized step pays the compounded cost of every slow stage at
-     * once, which the old max-over-single-straggler pricing undercounted
-     * whenever concurrent stragglers hit distinct PP stages. Stragglers
-     * mapping to the same stage representative collapse to the slowest
-     * (the stage already waits for its worst rank). Cached on the
-     * canonical (representative, speed) set.
-     */
-    double degradedStepSeconds(
-        const std::vector<std::pair<std::int64_t, double>> &active) const;
-
     /** Whether the job remains valid with DP shrunk to @p dp. */
     bool canShrinkTo(std::int64_t dp) const;
-
-    /** Fault-free step report at DP degree @p dp (TrainSim rerun,
-     *  cached; base_ when @p dp is the configured degree). Same global
-     *  batch, so fewer replicas -> slower steps. */
-    const TrainStepReport &stepReportAtDp(std::int64_t dp) const;
-
-    /** Step-time multiplier while any rank is displaced cross-pod:
-     *  the NIC-bound share of the step runs at spine (1/oversub)
-     *  capacity, through the same FlowSim machinery as a link flap. */
-    double displacementSlowdown() const;
-
-    /** Checkpoint pricing at DP degree @p dp (ckpt_ at the configured
-     *  degree, cached per shrunk degree). */
-    const CheckpointModel &checkpointAt(std::int64_t dp) const;
-
-    /** recovery().price(@p req), cached per request. */
-    const CostBreakdown &recoveryCost(const RecoveryCostRequest &req) const;
 
     /** Activation headroom on the straggler's DP peers at the current
      *  DP degree @p dp, in units of one stage micro-batch (how many
@@ -493,26 +518,9 @@ class TrainRunSim
                                          std::int64_t dp) const;
 
     TrainRunConfig cfg_;
-    /** Prices the fault-free step and, with a changed PerfVariation,
-     *  every straggler set (shrunk DP degrees build their own). Shared,
-     *  never copied, by every TrainRunSim of the same job. */
-    std::shared_ptr<const TrainSim> base_sim_;
-    TrainStepReport base_;
+    std::shared_ptr<const JobPricing> job_;
     CheckpointModel ckpt_;
     RecoveryCostModel recovery_;
-    double flops_per_gpu_step_ = 0.0;
-
-    /** TrainSim reruns per active-straggler *set* are cached, keyed by
-     *  the (representative rank -> slowest speed) map. */
-    mutable std::map<std::map<std::int64_t, double>, double> degraded_cache_;
-    mutable std::map<std::int64_t, TrainStepReport> shrunk_report_cache_;
-    mutable std::map<std::int64_t, CheckpointModel> shrunk_ckpt_cache_;
-    /** Keyed by every RecoveryCostRequest field (a new field joins it). */
-    mutable std::map<std::tuple<RecoveryCostRequest::Kind, std::int64_t,
-                                CheckpointTier, NetLevel>,
-                     CostBreakdown>
-        recovery_cost_cache_;
-    mutable double displacement_slowdown_ = 0.0; ///< lazily computed
 };
 
 } // namespace llm4d

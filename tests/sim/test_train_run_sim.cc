@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "llm4d/parallel/parallelism.h"
@@ -1650,6 +1651,149 @@ TEST(TrainRunSim, RunsWithoutRecoveriesReadNoKnob)
     ASSERT_GT(rep.faults.link_flaps, 0);
     ASSERT_EQ(rep.restarts + rep.spare_swaps + rep.dp_shrinks, 0);
     EXPECT_TRUE(rep.footprint.empty()) << footprintText(rep.footprint);
+}
+
+/**
+ * The tp8/pp16/dp16 candidate of the planner's worn full-grid test as
+ * one run: 2,048 GPUs in four pods, fatal and host MTBF at 1/24 of the
+ * calibrated rates, stragglers at 1/10, and repairs fast enough to
+ * regrow. 240 sequences give 15 micro-batches per replica, so it can
+ * shrink to 15 replicas.
+ */
+TrainRunConfig
+wornCandidateConfig()
+{
+    TrainRunConfig cfg;
+    cfg.job.cluster = ClusterSpec::llama3Production(2048);
+    cfg.job.cluster.nodes_per_pod = 64;
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours /= 24.0;
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours /= 10.0;
+    cfg.job.cluster.node.host_mtbf_hours /= 24.0;
+    cfg.job.par = ParallelismConfig{8, 1, 16, 16};
+    cfg.job.global_batch_tokens = 240LL * 8192;
+    cfg.total_steps = 1200;
+    cfg.checkpoint_interval_steps = 0;
+    cfg.checkpoint_interval_auto = true;
+    cfg.repairs.gpu_repair_mean_hours = 0.5;
+    cfg.repairs.host_repair_mean_hours = 1.0;
+    cfg.policy = RecoveryPolicy::elastic(1);
+    cfg.policy.allow_regrow = true;
+    cfg.seed = 54;
+    return cfg;
+}
+
+/** Run @p task(i) for every i < @p count on @p threads threads, each
+ *  taking every threads-th index. */
+template <typename Task>
+void
+runOnThreads(std::size_t threads, std::size_t count, const Task &task)
+{
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&task, t, threads, count] {
+            for (std::size_t i = t; i < count; i += threads)
+                task(i);
+        });
+    }
+    for (std::thread &thread : pool)
+        thread.join();
+}
+
+/** Expect @p runs to reach straggler onsets, spare swaps and a DP
+ *  shrink, so they read every lazily priced job-keyed value. */
+void
+expectEveryJobPriceUsed(const std::vector<TrainRunReport> &runs)
+{
+    std::int64_t onsets = 0;
+    std::int64_t swaps = 0;
+    std::int64_t shrinks = 0;
+    for (const TrainRunReport &rep : runs) {
+        onsets += rep.faults.stragglers;
+        swaps += rep.spare_swaps;
+        shrinks += rep.dp_shrinks;
+    }
+    EXPECT_GT(onsets, 0);
+    EXPECT_GT(swaps, 0);
+    EXPECT_GT(shrinks, 0);
+}
+
+TEST(TrainRunSimThreads, OneInstanceMatchesSerialRuns)
+{
+    // A const TrainRunSim is immutable: 16 intervals run on 4 threads
+    // against one fresh instance, whose shared memos start cold, give
+    // the serial reports bit for bit.
+    const TrainRunConfig cfg = wornCandidateConfig();
+    std::vector<std::int64_t> intervals;
+    for (std::int64_t interval = 4; interval <= 64; interval += 4)
+        intervals.push_back(interval);
+    const TrainRunSim serial_sim(cfg);
+    std::vector<TrainRunReport> serial;
+    for (const std::int64_t interval : intervals)
+        serial.push_back(serial_sim.runWithInterval(interval));
+    expectEveryJobPriceUsed(serial);
+
+    const TrainRunSim shared(cfg);
+    std::vector<TrainRunReport> concurrent(intervals.size());
+    runOnThreads(4, intervals.size(), [&](std::size_t i) {
+        concurrent[i] = shared.runWithInterval(intervals[i]);
+    });
+    for (std::size_t i = 0; i < intervals.size(); ++i)
+        EXPECT_TRUE(concurrent[i] == serial[i])
+            << "interval " << intervals[i] << ": wall "
+            << serial[i].wall_seconds << " s became "
+            << concurrent[i].wall_seconds << " s";
+}
+
+TEST(TrainRunSimThreads, CellsSharingOneJobMatchSerialRuns)
+{
+    // A planner candidate's cells on 4 threads: every cell is built as
+    // TrainRunSim(cfg, first), so they all price through one JobPricing
+    // and miss on the same straggler sets and shrunk widths at once.
+    std::vector<TrainRunConfig> cells;
+    for (const std::int64_t spares : {0, 1, 8}) {
+        for (const CheckpointMode mode :
+             {CheckpointMode::Sync, CheckpointMode::Async}) {
+            for (const bool tiered : {false, true}) {
+                for (const bool correlated : {false, true}) {
+                    TrainRunConfig cfg = wornCandidateConfig();
+                    cfg.policy.spare_hosts = spares;
+                    cfg.policy.checkpoint_mode = mode;
+                    cfg.storage.hier.enabled = tiered;
+                    cfg.storage.hier.global_every = 4;
+                    cfg.storage.hier.nvme_every = 2;
+                    cfg.policy.partial_restart = tiered;
+                    cfg.faults.colocation.enabled = correlated;
+                    cells.push_back(cfg);
+                }
+            }
+        }
+    }
+    std::vector<TrainRunReport> serial;
+    for (const TrainRunConfig &cfg : cells)
+        serial.push_back(TrainRunSim(cfg).run());
+    expectEveryJobPriceUsed(serial);
+
+    const TrainRunSim first(cells.front());
+    std::vector<TrainRunReport> concurrent(cells.size());
+    runOnThreads(4, cells.size(), [&](std::size_t i) {
+        concurrent[i] = TrainRunSim(cells[i], first).run();
+    });
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_TRUE(concurrent[i] == serial[i])
+            << "cell " << i << ": wall " << serial[i].wall_seconds
+            << " s became " << concurrent[i].wall_seconds << " s";
+}
+
+TEST(TrainRunSim, SharedJobConstructorSharesOneJobPricing)
+{
+    // The shared-job constructor holds the same JobPricing, not a copy:
+    // a candidate's cells price the job once between them.
+    const TrainRunSim a(wornFleetConfig());
+    TrainRunConfig cfg2 = wornFleetConfig();
+    cfg2.policy = RecoveryPolicy::elastic(1);
+    cfg2.seed = 7;
+    const TrainRunSim b(cfg2, a);
+    EXPECT_EQ(&b.baseStep(), &a.baseStep());
 }
 
 TEST(TrainRunSimDeathTest, AutoIntervalValidation)
