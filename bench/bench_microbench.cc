@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the library itself: schedule
- * generation/execution, collective pricing, executable CP attention, and
- * full training-step simulation. These guard the simulator's own
- * performance (an 8K-GPU imbalance sweep must stay interactive).
+ * generation/execution, collective pricing, executable CP attention,
+ * full training-step simulation, and the multi-day run loop. These guard
+ * the simulator's own performance (an 8K-GPU imbalance sweep must stay
+ * interactive).
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "llm4d/net/collective.h"
 #include "llm4d/plan/planner.h"
 #include "llm4d/pp/executor.h"
+#include "llm4d/sim/train_run_sim.h"
 #include "llm4d/sim/train_sim.h"
 
 using namespace llm4d;
@@ -97,6 +99,35 @@ BM_PlannerEnumeration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PlannerEnumeration);
+
+void
+BM_TrainRunSimRun(benchmark::State &state)
+{
+    // The default 16K-GPU run for the Llama 3 report's 54 days of steps
+    // at its Young-Daly interval: the run loop's cost, the job priced
+    // once outside the timed loop.
+    TrainRunConfig cfg;
+    cfg.seed = 54;
+    cfg.checkpoint_interval_steps = 0;
+    cfg.checkpoint_interval_auto = true;
+    const TrainRunSim job(cfg);
+    cfg.total_steps = static_cast<std::int64_t>(54.0 * 86400.0 /
+                                                job.baseStep().step_seconds);
+    const TrainRunSim sim(cfg, job);
+    std::int64_t events = 0;
+    for (auto _ : state) {
+        const TrainRunReport rep = sim.run();
+        events = rep.engine_events;
+        benchmark::DoNotOptimize(rep.wall_seconds);
+    }
+    // Steps per iteration as an inverted rate: seconds per step.
+    state.counters["time_per_step"] = benchmark::Counter(
+        static_cast<double>(cfg.total_steps),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.counters["events_per_run"] = static_cast<double>(events);
+}
+BENCHMARK(BM_TrainRunSimRun)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

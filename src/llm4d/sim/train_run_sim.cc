@@ -415,6 +415,9 @@ TrainRunSim::run() const
  * The state of one simulated run and its event handlers. Every handler
  * runs as an Engine event (or is called by one), so the members are the
  * whole state between events. Event callbacks capture only `this`.
+ * Steps run in segments, one event per run of steps at one price
+ * (scheduleSteps); every other event settles the segment before it
+ * changes anything (settleSteps).
  */
 class TrainRunSim::RunState
 {
@@ -450,7 +453,7 @@ class TrainRunSim::RunState
         // the run takes.
         if (!faults_.silent())
             pumpFault();
-        scheduleStep();
+        scheduleSteps();
         eng_.run();
         rep_.completed = finished_ && !truncated_;
         rep_.steps_committed = ledger_[Rung::Committed].steps;
@@ -463,6 +466,7 @@ class TrainRunSim::RunState
         rep_.wall_seconds = timeToSeconds(
             (finished_ || truncated_) ? stopped_at_ : eng_.now());
         rep_.footprint = pol_.footprint();
+        rep_.engine_events = eng_.eventsProcessed();
         return std::move(rep_);
     }
 
@@ -562,7 +566,12 @@ class TrainRunSim::RunState
         return nicSlowdown(job_.baseStep(), cfg_.job.cluster, worst_capacity);
     }
 
-    double currentStepSeconds() const
+    /**
+     * The step price now. Cuts @p steps to the first step after which
+     * an unmitigated straggler is detected: the price walk is the only
+     * walk of stragglers_ a segment makes before it ends.
+     */
+    double currentStepSeconds(std::int64_t &steps) const
     {
         // Any displaced rank stretches its DP group's collectives over
         // the oversubscribed spine; synchronized training makes the
@@ -578,10 +587,13 @@ class TrainRunSim::RunState
         // max over single-straggler runs undercounts.
         std::vector<std::pair<std::int64_t, double>> active;
         for (const auto &[rank, st] : stragglers_) {
-            if (st.mitigated)
+            if (st.mitigated) {
                 worst_residual = std::max(worst_residual, st.residual);
-            else
+            } else {
                 active.emplace_back(rank, st.speed);
+                steps = std::min(
+                    steps, std::max<std::int64_t>(1, st.steps_to_detect));
+            }
         }
         if (!active.empty())
             s = std::max(s, eff * job_.degradedStepSeconds(active) /
@@ -595,7 +607,15 @@ class TrainRunSim::RunState
         return s;
     }
 
-    void scheduleStep()
+    /**
+     * Run the next segment: steps at one price, as one Engine event. It
+     * ends at the first step after which the run's own state changes
+     * what happens next: the finish, the checkpoint cadence, the end of
+     * warmup, a straggler detection, or the last step that starts by
+     * the wall limit. Everything else that can change the price is an
+     * event, and settles the segment first (settleSteps).
+     */
+    void scheduleSteps()
     {
         if (finished_ || truncated_ || down_ || wait_ != AsyncWait::None)
             return;
@@ -608,19 +628,37 @@ class TrainRunSim::RunState
             finish();
             return;
         }
-        step_len_s_ = currentStepSeconds();
+        // After a rebalance pause the tentative tail can already be at
+        // the cadence: one more step, then the checkpoint.
+        std::int64_t steps = std::min(
+            cfg_.total_steps - ledger_.steps(),
+            std::max<std::int64_t>(
+                1, interval_steps_ - ledger_[Rung::Tentative].steps));
+        if (warmup_left_ > 0)
+            steps = std::min(steps, warmup_left_);
+        step_len_s_ = currentStepSeconds(steps);
+        step_t_ = secondsToTime(step_len_s_);
+        steps = std::min(steps, (wall_limit_ - eng_.now()) / step_t_ + 1);
         work_started_ = eng_.now();
+        steps_left_ = steps;
         running_ = true;
-        work_event_ = eng_.schedule(secondsToTime(step_len_s_),
-                                    [this] { onStepDone(); });
+        work_event_ =
+            eng_.schedule(steps * step_t_, [this] { onStepsDone(); });
     }
 
-    void onStepDone()
+    /**
+     * Credit the next @p n steps of the segment, each with its own
+     * ledger addition (DESIGN.md §4's summation order), and count them
+     * toward warmup and straggler detection in one walk of stragglers_.
+     * @return the lowest-ranked straggler now detected, or -1.
+     */
+    std::int64_t creditSteps(std::int64_t n)
     {
-        running_ = false;
-        ledger_.addStep(base_step_s_, step_len_s_ - base_step_s_);
-        if (warmup_left_ > 0)
-            --warmup_left_;
+        for (std::int64_t i = 0; i < n; ++i)
+            ledger_.addStep(base_step_s_, step_len_s_ - base_step_s_);
+        warmup_left_ = std::max<std::int64_t>(0, warmup_left_ - n);
+        work_started_ += n * step_t_;
+        steps_left_ -= n;
         // Straggler detection accumulates evidence one degraded step at
         // a time; mitigated stragglers are already handled. Lowest rank
         // wins ties — explicit even though the ordered map already
@@ -629,10 +667,40 @@ class TrainRunSim::RunState
         for (auto &[rank, st] : stragglers_) {
             if (st.mitigated)
                 continue;
-            --st.steps_to_detect;
+            st.steps_to_detect -= n;
             if (st.steps_to_detect <= 0 && (detected < 0 || rank < detected))
                 detected = rank;
         }
+        return detected;
+    }
+
+    /**
+     * An event the run does not control (a fault, a flap expiry, a drain
+     * completing) is about to change it mid-segment. Credit the steps
+     * that ended strictly before now. A step ending exactly now is still
+     * in flight: the event was queued before that step would have been
+     * (FIFO). Cut the segment to that step, and reschedule it only if
+     * that shortens it, so the step keeps its FIFO place.
+     */
+    void settleSteps()
+    {
+        if (steps_left_ == 0)
+            return;
+        const Time elapsed = eng_.now() - work_started_;
+        if (elapsed > step_t_)
+            creditSteps((elapsed - 1) / step_t_);
+        if (steps_left_ == 1)
+            return;
+        eng_.cancel(work_event_);
+        steps_left_ = 1;
+        work_event_ = eng_.scheduleAt(work_started_ + step_t_,
+                                      [this] { onStepsDone(); });
+    }
+
+    void onStepsDone()
+    {
+        running_ = false;
+        const std::int64_t detected = creditSteps(steps_left_);
         if (ledger_.steps() >= cfg_.total_steps) {
             finish();
             return;
@@ -642,7 +710,7 @@ class TrainRunSim::RunState
             return;
         }
         if (ledger_[Rung::Tentative].steps < interval_steps_) {
-            scheduleStep();
+            scheduleSteps();
             return;
         }
         if (!tiered_) {
@@ -714,7 +782,7 @@ class TrainRunSim::RunState
             if (global_b)
                 persist();
             else
-                scheduleStep();
+                scheduleSteps();
             return;
           }
         }
@@ -744,6 +812,7 @@ class TrainRunSim::RunState
     {
         if (finished_ || truncated_)
             return;
+        settleSteps();
         drain_active_ = false;
         ledger_.fold(Rung::Pending, Rung::Committed);
         const AsyncWait waited = wait_;
@@ -837,7 +906,7 @@ class TrainRunSim::RunState
         resume_at_ = eng_.now() + outage;
         resume_event_ = eng_.schedule(outage, [this] {
             down_ = false;
-            scheduleStep();
+            scheduleSteps();
         });
     }
 
@@ -968,7 +1037,7 @@ class TrainRunSim::RunState
                 ++grew;
         }
         if (grew == 0) {
-            scheduleStep();
+            scheduleSteps();
             return;
         }
         setDp(dp_now_ + grew);
@@ -1004,6 +1073,7 @@ class TrainRunSim::RunState
             eng_.cancel(work_event_);
             rep_.lost_seconds += timeToSeconds(eng_.now() - work_started_);
             running_ = false;
+            steps_left_ = 0;
         }
         if (down_) {
             eng_.cancel(resume_event_);
@@ -1085,6 +1155,7 @@ class TrainRunSim::RunState
 
     void onFault(const FaultEvent &ev)
     {
+        settleSteps();
         if (truncateIfLate())
             return;
         switch (ev.kind) {
@@ -1169,6 +1240,7 @@ class TrainRunSim::RunState
         if (it == flaps_.end() || flap.until > it->second.until)
             flaps_[ev.component] = flap;
         eng_.scheduleAt(flap.until, [this, rank = ev.component] {
+            settleSteps(); // steps starting from now price without it
             const auto fit = flaps_.find(rank);
             if (fit != flaps_.end() && fit->second.until <= eng_.now())
                 flaps_.erase(fit);
@@ -1219,8 +1291,10 @@ class TrainRunSim::RunState
     AsyncWait wait_ = AsyncWait::None;
     Write write_ = Write::Save;  ///< the in-flight write
     double write_s_ = 0.0;       ///< its blocking seconds
-    double step_len_s_ = 0.0;    ///< duration of the in-flight step
-    Time work_started_ = 0;      ///< start of the in-flight step/write
+    double step_len_s_ = 0.0;    ///< duration of each step in the segment
+    Time step_t_ = 0;            ///< the same, as engine time
+    std::int64_t steps_left_ = 0; ///< segment steps not yet credited
+    Time work_started_ = 0;      ///< start of the in-flight step or write
     Time stall_started_ = 0;
     Time stopped_at_ = 0;        ///< clock when the run ended (either way)
     EventId work_event_ = 0;     ///< pending step/write completion

@@ -364,6 +364,15 @@ struct TrainRunReport
     std::vector<FaultEvent> timeline;
 
     /**
+     * Engine events the run processed: one per step segment (a run of
+     * steps at one price), checkpoint write, drain, fault, flap expiry
+     * and outage. A work count, not a result. A planner cell that
+     * reuses another cell's run (GoodputSweepPoint::reuses_cell)
+     * carries the reused run's count.
+     */
+    std::int64_t engine_events = 0;
+
+    /**
      * The swept RecoveryPolicy knobs this run read. A run under any
      * policy that differs only in knobs outside it is this run, bit
      * for bit (sharesRun), which is how the planner shares runs.

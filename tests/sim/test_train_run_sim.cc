@@ -1653,6 +1653,233 @@ TEST(TrainRunSim, RunsWithoutRecoveriesReadNoKnob)
     EXPECT_TRUE(rep.footprint.empty()) << footprintText(rep.footprint);
 }
 
+/** The pinned fields of one run report. */
+struct GoldenRun
+{
+    double wall_seconds;
+    double productive_seconds;
+    double degraded_seconds;
+    double lost_seconds;
+    double checkpoint_seconds;
+    double detection_seconds;
+    double drain_stall_seconds;
+    std::int64_t steps_lost;
+    std::int64_t restarts;
+    std::int64_t spare_swaps;
+    std::int64_t dp_shrinks;
+    std::int64_t dp_regrows;
+    std::int64_t rebalances;
+    std::int64_t partial_restarts;
+    std::size_t timeline;
+};
+
+void
+expectGolden(const TrainRunReport &rep, const GoldenRun &golden)
+{
+    EXPECT_EQ(rep.wall_seconds, golden.wall_seconds);
+    EXPECT_EQ(rep.productive_seconds, golden.productive_seconds);
+    EXPECT_EQ(rep.degraded_seconds, golden.degraded_seconds);
+    EXPECT_EQ(rep.lost_seconds, golden.lost_seconds);
+    EXPECT_EQ(rep.checkpoint_seconds, golden.checkpoint_seconds);
+    EXPECT_EQ(rep.detection_seconds, golden.detection_seconds);
+    EXPECT_EQ(rep.drain_stall_seconds, golden.drain_stall_seconds);
+    EXPECT_EQ(rep.steps_lost, golden.steps_lost);
+    EXPECT_EQ(rep.restarts, golden.restarts);
+    EXPECT_EQ(rep.spare_swaps, golden.spare_swaps);
+    EXPECT_EQ(rep.dp_shrinks, golden.dp_shrinks);
+    EXPECT_EQ(rep.dp_regrows, golden.dp_regrows);
+    EXPECT_EQ(rep.rebalances, golden.rebalances);
+    EXPECT_EQ(rep.partial_restarts, golden.partial_restarts);
+    EXPECT_EQ(rep.timeline.size(), golden.timeline);
+}
+
+/** wornFleetConfig with fatal GPU and host faults @p hotter times as
+ *  frequent, and no stragglers or flaps. */
+TrainRunConfig
+fatalOnlyWornConfig(double hotter)
+{
+    TrainRunConfig cfg = wornFleetConfig();
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours /= hotter;
+    cfg.job.cluster.node.host_mtbf_hours /= hotter;
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours = 0.0;
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 0.0;
+    cfg.total_steps = 3000;
+    return cfg;
+}
+
+// Reports pinned bit for bit. They were computed with one engine event
+// per step, so they hold step segments to the per-step results. Between
+// them the runs end segments at every cadence the run controls
+// (checkpoint, finish, warmup, straggler detection, wall limit) and
+// settle them at every interrupt it does not (fatal faults, straggler
+// onsets, flap onsets and expiries, async drains).
+
+TEST(TrainRunSimGolden, FaultFreeSyncRun)
+{
+    TrainRunConfig cfg = wornFleetConfig();
+    disableAllFaults(cfg);
+    cfg.total_steps = 2000;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.db8780a393ee6p+13, 0x1.5e607f92f599p+13, 0x0p+0,
+                  0x0p+0, 0x1.f49c044284df7p+11, 0x0p+0, 0x0p+0, 0, 0, 0,
+                  0, 0, 0, 0, 0});
+}
+
+TEST(TrainRunSimGolden, FatalFaultsWithWarmSparesAndWarmup)
+{
+    // Sync saves, a two-host pool that runs dry, shrinks, regrows, and
+    // 25 slow warmup steps after every recovery.
+    TrainRunConfig cfg = fatalOnlyWornConfig(40.0);
+    cfg.seed = 3;
+    cfg.restart.warmup_steps = 25;
+    cfg.policy = RecoveryPolicy::elastic(2);
+    cfg.policy.checkpoint_mode = CheckpointMode::Sync;
+    cfg.policy.allow_regrow = true;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.7990c25b4a75fp+15, 0x1.06c85fae3833p+14,
+                  0x1.289c721eecf0dp+11, 0x1.3fbc07be2b773p+13,
+                  0x1.8f3cd03537192p+12, 0x1.22336ff3960bdp+11, 0x0p+0, 1397,
+                  26, 46, 7, 7, 0, 0, 79});
+}
+
+TEST(TrainRunSimGolden, AsyncDrainsCompleteMidSegment)
+{
+    // An 80 s drain under a 224 s interval: every drain but the last
+    // lands while steps run, and fatal faults force full restarts.
+    TrainRunConfig cfg = fatalOnlyWornConfig(20.0);
+    cfg.seed = 5;
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.92d62d36a1856p+14, 0x1.06c85fae3833p+14,
+                  0x1.0f1b9003726c3p+8, 0x1.8c450f284c07bp+11,
+                  0x1.cc63e08fa249dp+5, 0x1.7e79ef498cc48p+9,
+                  0x1.4063d9c42c146p+6, 544, 26, 0, 0, 0, 0, 0, 26});
+}
+
+TEST(TrainRunSimGolden, PricedFlapsAndRebalancedStragglers)
+{
+    // 14 flaps at 15-60% link capacity reprice the step at their onset
+    // and at their expiry; three stragglers are localized after a few
+    // degraded steps and rebalanced away.
+    TrainRunConfig cfg = baseConfig();
+    disableAllFaults(cfg);
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours = 3000.0;
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 1000.0;
+    cfg.detection.straggler.jitter_sigma = 0.1;
+    cfg.policy.straggler_rebalance = true;
+    cfg.total_steps = 600;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.0a6405c4b6309p+12, 0x1.b63fe6792a299p+11,
+                  0x1.ff2ae9f9f522dp+7, 0x0p+0, 0x1.7eaece13f4a97p+6,
+                  0x1.95p+8, 0x0p+0, 0, 0, 0, 0, 0, 3, 0, 17});
+}
+
+TEST(TrainRunSimGolden, TieredPartialRestart)
+{
+    // Every boundary mirrors to DP-peer HBM; swaps restore from those
+    // mirrors, and host crashes fall back to the global tier.
+    TrainRunConfig cfg = fatalOnlyWornConfig(20.0);
+    cfg.seed = 9;
+    cfg.storage.hier.enabled = true;
+    cfg.storage.hier.global_every = 4;
+    cfg.storage.hier.nvme_every = 2;
+    cfg.policy = RecoveryPolicy::elastic(1);
+    cfg.policy.partial_restart = true;
+    cfg.policy.allow_regrow = true;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.8e3115e917ap+14, 0x1.06c85fae38327p+14,
+                  0x1.d5c132e90ab88p+7, 0x1.00eb01ca880f1p+12,
+                  0x1.36eb000589567p+9, 0x1.77p+9, 0x1.4063d9c42c146p+6, 699,
+                  5, 14, 6, 6, 0, 17, 25});
+}
+
+TEST(TrainRunSimGolden, TruncatedAtTheWallLimit)
+{
+    // The last step starts by the 1.2-hour limit; the work after the
+    // last durable save is lost.
+    TrainRunConfig cfg = fatalOnlyWornConfig(20.0);
+    cfg.seed = 11;
+    cfg.total_steps = 100000;
+    cfg.max_wall_days = 0.05;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    EXPECT_FALSE(rep.completed);
+    expectGolden(rep,
+                 {0x1.0f33079e69c93p+12, 0x1.c07b849325e21p+10,
+                  0x1.93a25db7a218ap+4, 0x1.62afdf7b01225p+9,
+                  0x1.4063d9c42c147p+9, 0x1.2cp+7, 0x0p+0, 108, 5, 0, 0, 0, 0,
+                  0, 5});
+}
+
+/** @p rep without what its NIC flaps own: their timeline entries, their
+ *  count, and the engine events they took. */
+TrainRunReport
+withoutFlaps(TrainRunReport rep)
+{
+    std::erase_if(rep.timeline, [](const FaultEvent &ev) {
+        return ev.kind == FaultKind::LinkFlap;
+    });
+    rep.faults.link_flaps = 0;
+    rep.engine_events = 0;
+    return rep;
+}
+
+TEST(TrainRunSim, FullCapacityFlapsChangeNothing)
+{
+    // A flap that keeps the full link capacity prices no step, yet its
+    // onset and its expiry land mid-segment and settle it. Settling must
+    // credit exactly the steps that ended and keep the one in flight, so
+    // every field the flaps do not own equals the flap-free run's. The
+    // flap stream is its own, so the other faults arrive unchanged.
+    TrainRunConfig flapping = wornFleetConfig();
+    flapping.job.cluster.node.nic_flap_mtbf_hours = 200.0;
+    flapping.faults.flap_capacity_lo = 1.0;
+    flapping.faults.flap_capacity_hi = 1.0;
+    TrainRunConfig flap_free = wornFleetConfig();
+    flap_free.job.cluster.node.nic_flap_mtbf_hours = 0.0;
+    const TrainRunSim flapping_job(flapping);
+    const TrainRunSim flap_free_job(flap_free);
+    Rng rng(20261017);
+    std::int64_t flaps = 0;
+    for (int i = 0; i < 20; ++i) {
+        TrainRunConfig cfg = randomWornConfig(rng);
+        cfg.job = flap_free.job;
+        const TrainRunReport base = TrainRunSim(cfg, flap_free_job).run();
+        cfg.job = flapping.job;
+        cfg.faults = flapping.faults;
+        const TrainRunReport rep = TrainRunSim(cfg, flapping_job).run();
+        flaps += rep.faults.link_flaps;
+        EXPECT_TRUE(withoutFlaps(rep) == withoutFlaps(base))
+            << "config " << i << ": wall " << base.wall_seconds
+            << " s became " << rep.wall_seconds << " s with "
+            << rep.faults.link_flaps << " flaps";
+    }
+    EXPECT_GT(flaps, 200);
+}
+
+TEST(TrainRunSim, FaultFreeSyncRunTakesTwoEventsPerInterval)
+{
+    // One engine event per run of steps at one price, and one per save.
+    TrainRunConfig cfg = wornFleetConfig();
+    disableAllFaults(cfg);
+    cfg.total_steps = 6000;
+    cfg.checkpoint_interval_steps = 100;
+    EXPECT_EQ(TrainRunSim(cfg).run().engine_events, 2 * 60);
+}
+
+TEST(TrainRunSim, FaultFreeAsyncRunTakesAtMostFourEventsPerInterval)
+{
+    // Per interval: a segment that the landing drain cuts, the rest of
+    // it, the snapshot, and the drain.
+    TrainRunConfig cfg = wornFleetConfig();
+    disableAllFaults(cfg);
+    cfg.total_steps = 6000;
+    cfg.checkpoint_interval_steps = 100;
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    ASSERT_TRUE(rep.completed);
+    EXPECT_LE(rep.engine_events, 4 * 60);
+}
+
 /**
  * The tp8/pp16/dp16 candidate of the planner's worn full-grid test as
  * one run: 2,048 GPUs in four pods, fatal and host MTBF at 1/24 of the
