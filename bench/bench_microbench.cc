@@ -92,13 +92,22 @@ BENCHMARK(BM_TrainStepSimulation);
 void
 BM_PlannerEnumeration(benchmark::State &state)
 {
+    // plan_sweep's input shape at the argument's GPU count: 1024 tokens
+    // per GPU at 8K sequence. Enumeration should cost about the same at
+    // every cluster size.
+    const std::int64_t gpus = state.range(0);
     PlanInput in;
+    in.cluster = ClusterSpec::llama3Production(gpus);
+    in.global_batch_tokens = gpus * 1024;
     for (auto _ : state) {
         auto plans = enumeratePlans(in);
         benchmark::DoNotOptimize(plans.size());
     }
 }
-BENCHMARK(BM_PlannerEnumeration);
+BENCHMARK(BM_PlannerEnumeration)
+    ->Arg(2048)
+    ->Arg(16384)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_TrainRunSimRun(benchmark::State &state)

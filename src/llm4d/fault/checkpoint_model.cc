@@ -117,14 +117,20 @@ CheckpointModel::CheckpointModel(const ModelConfig &model,
             bf16_params_per_mp_rank /
             static_cast<double>(par_.dp * par_.cp));
         regather_seconds_ =
-            coll.allGather(grid.dpCpGroup(0), shard_bytes);
+            coll.allGather(grid.dpCpSpan(0), shard_bytes);
         if (storage_.hier.enabled) {
             // Every rank mirrors its checkpoint shard onto the next DP
-            // peer; all pairs transfer concurrently, so the mirror costs
-            // one point-to-point send at the DP-group link level.
-            const auto &group = grid.dpCpGroup(0);
+            // peer: the member after it in dpCpGroup's DP-major, CP-minor
+            // order, its CP neighbour unless cp == 1. All pairs transfer
+            // concurrently, so the mirror costs one point-to-point send
+            // at the DP-group link level.
+            RankCoord peer;
+            if (par_.cp > 1)
+                peer.cp = 1;
+            else
+                peer.dp = 1;
             hbm_mirror_p2p_seconds_ =
-                coll.p2p(group[0], group[1],
+                coll.p2p(0, grid.rankOf(peer),
                          static_cast<std::int64_t>(bytesPerGpu()));
         }
     }

@@ -253,7 +253,7 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
             static_cast<double>(par_.modelParallelSize());
         const auto peer_shard = static_cast<std::int64_t>(
             bf16_bytes_per_mp_rank / static_cast<double>(group));
-        weights_fetch_seconds_ = coll.gatherTo(grid.dpCpGroup(0), peer_shard);
+        weights_fetch_seconds_ = coll.gatherTo(grid.dpCpSpan(0), peer_shard);
         // Cross-pod spare: the same gather, but every byte funnels into
         // the replacement through the oversubscribed spine.
         weights_fetch_spine_seconds_ =
@@ -348,7 +348,7 @@ RecoveryCostModel::priceShrink(const RecoveryCostRequest &req) const
         const double new_members = static_cast<double>(to_dp * par.cp);
         const auto delta_bytes = static_cast<std::int64_t>(
             group_state_bytes * (1.0 / new_members - 1.0 / old_members));
-        cost.gather_seconds = coll.gatherTo(grid.dpCpGroup(0), delta_bytes);
+        cost.gather_seconds = coll.gatherTo(grid.dpCpSpan(0), delta_bytes);
     }
     return cost;
 }
@@ -386,7 +386,7 @@ RecoveryCostModel::priceRegrow(const RecoveryCostRequest &req) const
         const double new_members = static_cast<double>(to_dp * par.cp);
         const auto fetch_bytes = static_cast<std::int64_t>(
             (bf16_bytes_per_mp_rank + group_state_bytes) / new_members);
-        cost.gather_seconds = coll.gatherTo(grid.dpCpGroup(0), fetch_bytes);
+        cost.gather_seconds = coll.gatherTo(grid.dpCpSpan(0), fetch_bytes);
     }
     return cost;
 }

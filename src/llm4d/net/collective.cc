@@ -41,15 +41,15 @@ tryParse<CollectiveKind>(std::string_view text)
 CollectiveModel::CollectiveModel(const Topology &topo) : topo_(&topo) {}
 
 double
-CollectiveModel::allGather(const std::vector<std::int64_t> &ranks,
+CollectiveModel::allGather(const RankSpan &group,
                            std::int64_t bytes_per_rank) const
 {
-    LLM4D_ASSERT(!ranks.empty(), "empty collective group");
+    LLM4D_ASSERT(group.size >= 1, "empty collective group");
     LLM4D_ASSERT(bytes_per_rank >= 0, "negative collective size");
-    const auto p = static_cast<std::int64_t>(ranks.size());
+    const std::int64_t p = group.size;
     if (p == 1 || bytes_per_rank == 0)
         return 0.0;
-    const NetLevel level = topo_->levelOf(ranks);
+    const NetLevel level = topo_->levelOf(group);
     const double bw =
         topo_->bandwidth(level) * 1e9 * kBandwidthEfficiency;
     const double lat = topo_->latency(level);
@@ -58,36 +58,35 @@ CollectiveModel::allGather(const std::vector<std::int64_t> &ranks,
 }
 
 double
-CollectiveModel::reduceScatter(const std::vector<std::int64_t> &ranks,
+CollectiveModel::reduceScatter(const RankSpan &group,
                                std::int64_t bytes_per_rank) const
 {
     // A ring reduce-scatter moves the same bytes over the same links as
     // the ring all-gather; the reduction itself rides HBM bandwidth and is
     // folded into the transfer term.
-    return allGather(ranks, bytes_per_rank);
+    return allGather(group, bytes_per_rank);
 }
 
 double
-CollectiveModel::allReduce(const std::vector<std::int64_t> &ranks,
-                           std::int64_t bytes) const
+CollectiveModel::allReduce(const RankSpan &group, std::int64_t bytes) const
 {
-    LLM4D_ASSERT(!ranks.empty(), "empty collective group");
-    const auto p = static_cast<std::int64_t>(ranks.size());
+    LLM4D_ASSERT(group.size >= 1, "empty collective group");
+    const std::int64_t p = group.size;
     if (p == 1 || bytes == 0)
         return 0.0;
     const std::int64_t shard = ceilDiv(bytes, p);
-    return reduceScatter(ranks, shard) + allGather(ranks, shard);
+    return reduceScatter(group, shard) + allGather(group, shard);
 }
 
 double
-CollectiveModel::broadcast(const std::vector<std::int64_t> &ranks,
-                           std::int64_t bytes) const
+CollectiveModel::broadcast(const RankSpan &group, std::int64_t bytes) const
 {
-    LLM4D_ASSERT(!ranks.empty(), "empty collective group");
-    const auto p = static_cast<std::int64_t>(ranks.size());
+    LLM4D_ASSERT(group.size >= 1, "empty collective group");
+    LLM4D_ASSERT(bytes >= 0, "negative collective size");
+    const std::int64_t p = group.size;
     if (p == 1 || bytes == 0)
         return 0.0;
-    const NetLevel level = topo_->levelOf(ranks);
+    const NetLevel level = topo_->levelOf(group);
     const double bw =
         topo_->bandwidth(level) * 1e9 * kBandwidthEfficiency;
     const double lat = topo_->latency(level);
@@ -98,15 +97,50 @@ CollectiveModel::broadcast(const std::vector<std::int64_t> &ranks,
 }
 
 double
+CollectiveModel::gatherTo(const RankSpan &group,
+                          std::int64_t bytes_per_rank) const
+{
+    LLM4D_ASSERT(group.size >= 1, "empty collective group");
+    LLM4D_ASSERT(bytes_per_rank >= 0, "negative collective size");
+    const std::int64_t p = group.size;
+    if (p == 1 || bytes_per_rank == 0)
+        return 0.0;
+    return gatherToAtLevel(topo_->levelOf(group), p, bytes_per_rank);
+}
+
+double
+CollectiveModel::allGather(const std::vector<std::int64_t> &ranks,
+                           std::int64_t bytes_per_rank) const
+{
+    return allGather(RankSpan::of(ranks), bytes_per_rank);
+}
+
+double
+CollectiveModel::reduceScatter(const std::vector<std::int64_t> &ranks,
+                               std::int64_t bytes_per_rank) const
+{
+    return reduceScatter(RankSpan::of(ranks), bytes_per_rank);
+}
+
+double
+CollectiveModel::allReduce(const std::vector<std::int64_t> &ranks,
+                           std::int64_t bytes) const
+{
+    return allReduce(RankSpan::of(ranks), bytes);
+}
+
+double
+CollectiveModel::broadcast(const std::vector<std::int64_t> &ranks,
+                           std::int64_t bytes) const
+{
+    return broadcast(RankSpan::of(ranks), bytes);
+}
+
+double
 CollectiveModel::gatherTo(const std::vector<std::int64_t> &ranks,
                           std::int64_t bytes_per_rank) const
 {
-    LLM4D_ASSERT(!ranks.empty(), "empty collective group");
-    LLM4D_ASSERT(bytes_per_rank >= 0, "negative collective size");
-    const auto p = static_cast<std::int64_t>(ranks.size());
-    if (p == 1 || bytes_per_rank == 0)
-        return 0.0;
-    return gatherToAtLevel(topo_->levelOf(ranks), p, bytes_per_rank);
+    return gatherTo(RankSpan::of(ranks), bytes_per_rank);
 }
 
 double

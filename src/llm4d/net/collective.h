@@ -37,7 +37,11 @@ template <>
 [[nodiscard]] std::optional<CollectiveKind>
 tryParse<CollectiveKind>(std::string_view text);
 
-/** Cost models for collectives over a given topology. */
+/**
+ * Cost models for collectives over a given topology. A group collective
+ * is priced from its RankSpan alone: the member count and the widest
+ * level the group spans (Topology::levelOf).
+ */
 class CollectiveModel
 {
   public:
@@ -58,20 +62,18 @@ class CollectiveModel
      * Ring all-gather duration: each rank holds @p bytes_per_rank and ends
      * with all shards. Time = (p-1) * (shard / bottleneck_bw + hop_lat).
      */
-    double allGather(const std::vector<std::int64_t> &ranks,
+    double allGather(const RankSpan &group,
                      std::int64_t bytes_per_rank) const;
 
     /** Ring reduce-scatter: mirror image of all-gather (same cost). */
-    double reduceScatter(const std::vector<std::int64_t> &ranks,
+    double reduceScatter(const RankSpan &group,
                          std::int64_t bytes_per_rank) const;
 
     /** Ring all-reduce = reduce-scatter + all-gather over @p bytes total. */
-    double allReduce(const std::vector<std::int64_t> &ranks,
-                     std::int64_t bytes) const;
+    double allReduce(const RankSpan &group, std::int64_t bytes) const;
 
     /** Binomial-tree broadcast of @p bytes from one rank to the group. */
-    double broadcast(const std::vector<std::int64_t> &ranks,
-                     std::int64_t bytes) const;
+    double broadcast(const RankSpan &group, std::int64_t bytes) const;
 
     /**
      * Gather @p bytes_per_rank from every group member onto one root —
@@ -80,12 +82,26 @@ class CollectiveModel
      * now own from its group peers. Bound by the root's ingress link:
      * (p-1) shards serialize through the root's bottleneck level.
      */
+    double gatherTo(const RankSpan &group,
+                    std::int64_t bytes_per_rank) const;
+
+    /** The collectives above over an explicit member list: one min/max
+     *  pass (RankSpan::of), then the span's pricing. @{ */
+    double allGather(const std::vector<std::int64_t> &ranks,
+                     std::int64_t bytes_per_rank) const;
+    double reduceScatter(const std::vector<std::int64_t> &ranks,
+                         std::int64_t bytes_per_rank) const;
+    double allReduce(const std::vector<std::int64_t> &ranks,
+                     std::int64_t bytes) const;
+    double broadcast(const std::vector<std::int64_t> &ranks,
+                     std::int64_t bytes) const;
     double gatherTo(const std::vector<std::int64_t> &ranks,
                     std::int64_t bytes_per_rank) const;
+    /** @} */
 
     /**
      * gatherTo() with the path level pinned instead of derived from a
-     * rank list — for pricing a gather whose root is *hypothetical*
+     * rank group — for pricing a gather whose root is *hypothetical*
      * (e.g. a warm spare whose pod placement the recovery policy picks:
      * Pod for a pod-local replacement, Spine for a cross-pod one).
      * Identical arithmetic to gatherTo over a @p group_size-rank group

@@ -81,16 +81,15 @@ Topology::levelBetween(std::int64_t a, std::int64_t b) const
 }
 
 NetLevel
+Topology::levelOf(const RankSpan &group) const
+{
+    return levelBetween(group.first, group.last);
+}
+
+NetLevel
 Topology::levelOf(const std::vector<std::int64_t> &ranks) const
 {
-    LLM4D_ASSERT(!ranks.empty(), "empty rank group");
-    NetLevel worst = NetLevel::Self;
-    for (std::size_t i = 1; i < ranks.size(); ++i) {
-        const NetLevel lvl = levelBetween(ranks[0], ranks[i]);
-        if (static_cast<int>(lvl) > static_cast<int>(worst))
-            worst = lvl;
-    }
-    return worst;
+    return levelOf(RankSpan::of(ranks));
 }
 
 double

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "llm4d/hw/gpu_spec.h"
+#include "llm4d/parallel/parallelism.h"
 #include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
@@ -60,7 +61,15 @@ class Topology
     /** Narrowest network level on the path between two ranks. */
     NetLevel levelBetween(std::int64_t a, std::int64_t b) const;
 
-    /** Narrowest network level spanned by a group of ranks. */
+    /**
+     * Narrowest network level spanned by a group of ranks:
+     * levelBetween(first, last). Node and pod ids never decrease as the
+     * rank grows, so a member between the two ends shares their node
+     * (or pod) whenever they share one, and spans no wider level.
+     */
+    NetLevel levelOf(const RankSpan &group) const;
+
+    /** levelOf(RankSpan::of(ranks)). */
     NetLevel levelOf(const std::vector<std::int64_t> &ranks) const;
 
     /** Per-GPU unidirectional bandwidth available at a level, GB/s. */

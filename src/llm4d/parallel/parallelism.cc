@@ -1,5 +1,6 @@
 #include "llm4d/parallel/parallelism.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "llm4d/simcore/common.h"
@@ -19,6 +20,14 @@ ParallelismConfig::validate() const
 {
     LLM4D_CHECK(tp >= 1 && cp >= 1 && pp >= 1 && dp >= 1,
                 "parallelism degrees must be positive: " << str());
+}
+
+RankSpan
+RankSpan::of(const std::vector<std::int64_t> &ranks)
+{
+    LLM4D_ASSERT(!ranks.empty(), "empty rank group");
+    const auto [lo, hi] = std::minmax_element(ranks.begin(), ranks.end());
+    return {static_cast<std::int64_t>(ranks.size()), *lo, *hi};
 }
 
 RankGrid::RankGrid(const ParallelismConfig &cfg) : cfg_(cfg)
@@ -137,6 +146,74 @@ RankGrid::dpCpGroup(std::int64_t rank) const
         }
     }
     return group;
+}
+
+RankSpan
+RankGrid::axisSpan(std::int64_t rank, Axis axis) const
+{
+    // Order [TP, CP, PP, DP] inner -> outer: members along an axis are
+    // the product of the inner extents apart, and the lowest member has
+    // that axis's coordinate at 0.
+    const RankCoord c = coordOf(rank);
+    std::int64_t stride = 1, extent = 0, coord = 0;
+    switch (axis) {
+      case Axis::Tp:
+        extent = cfg_.tp;
+        coord = c.tp;
+        break;
+      case Axis::Cp:
+        stride = cfg_.tp;
+        extent = cfg_.cp;
+        coord = c.cp;
+        break;
+      case Axis::Pp:
+        stride = cfg_.tp * cfg_.cp;
+        extent = cfg_.pp;
+        coord = c.pp;
+        break;
+      case Axis::Dp:
+        stride = cfg_.tp * cfg_.cp * cfg_.pp;
+        extent = cfg_.dp;
+        coord = c.dp;
+        break;
+    }
+    const std::int64_t first = rank - coord * stride;
+    return {extent, first, first + (extent - 1) * stride};
+}
+
+RankSpan
+RankGrid::tpSpan(std::int64_t rank) const
+{
+    return axisSpan(rank, Axis::Tp);
+}
+
+RankSpan
+RankGrid::cpSpan(std::int64_t rank) const
+{
+    return axisSpan(rank, Axis::Cp);
+}
+
+RankSpan
+RankGrid::ppSpan(std::int64_t rank) const
+{
+    return axisSpan(rank, Axis::Pp);
+}
+
+RankSpan
+RankGrid::dpSpan(std::int64_t rank) const
+{
+    return axisSpan(rank, Axis::Dp);
+}
+
+RankSpan
+RankGrid::dpCpSpan(std::int64_t rank) const
+{
+    // The two axes' offsets from @p rank add: the lowest member has
+    // cp = dp = 0, the highest both at their last index.
+    const RankSpan cp = cpSpan(rank);
+    const RankSpan dp = dpSpan(rank);
+    return {cp.size * dp.size, cp.first + dp.first - rank,
+            cp.last + dp.last - rank};
 }
 
 std::vector<std::vector<std::int64_t>>

@@ -53,8 +53,28 @@ struct RankCoord
 };
 
 /**
+ * A rank group as the network prices it: its member count and its
+ * lowest and highest global rank. The widest level a group spans
+ * follows from its two ends alone (Topology::levelOf), so a collective
+ * over a group needs no member list.
+ */
+struct RankSpan
+{
+    std::int64_t size = 1;  ///< member count
+    std::int64_t first = 0; ///< lowest global rank
+    std::int64_t last = 0;  ///< highest global rank
+
+    /** The span of an explicit member list: one min/max pass. */
+    static RankSpan of(const std::vector<std::int64_t> &ranks);
+
+    bool operator==(const RankSpan &) const = default;
+};
+
+/**
  * Bidirectional mapping between global ranks and 4D coordinates, plus
- * process-group construction along each axis.
+ * process-group construction along each axis. Ranks grow with every
+ * coordinate, so each group's span follows from the axis strides in
+ * O(1), without building the group.
  */
 class RankGrid
 {
@@ -92,6 +112,15 @@ class RankGrid
      */
     std::vector<std::int64_t> dpCpGroup(std::int64_t rank) const;
 
+    /** The spans of the groups above, in O(1): tpSpan(r) equals
+     *  RankSpan::of(tpGroup(r)), and so on. @{ */
+    RankSpan tpSpan(std::int64_t rank) const;
+    RankSpan cpSpan(std::int64_t rank) const;
+    RankSpan ppSpan(std::int64_t rank) const;
+    RankSpan dpSpan(std::int64_t rank) const;
+    RankSpan dpCpSpan(std::int64_t rank) const;
+    /** @} */
+
     /** All distinct groups along an axis, for trace analysis. @{ */
     std::vector<std::vector<std::int64_t>> allTpGroups() const;
     std::vector<std::vector<std::int64_t>> allCpGroups() const;
@@ -103,6 +132,7 @@ class RankGrid
     enum class Axis { Tp, Cp, Pp, Dp };
 
     std::vector<std::int64_t> axisGroup(std::int64_t rank, Axis axis) const;
+    RankSpan axisSpan(std::int64_t rank, Axis axis) const;
     std::vector<std::vector<std::int64_t>> allGroups(Axis axis) const;
 
     ParallelismConfig cfg_;

@@ -114,7 +114,7 @@ evaluate(const PlanInput &in, const CollectiveModel &coll, std::int64_t tp,
     double tp_comm = 0.0;
     if (tp > 1) {
         tp_comm = 2.0 * LayerCostModel::kTpCollectivesPerLayer *
-                  coll.allGather(grid.tpGroup(0),
+                  coll.allGather(grid.tpSpan(0),
                                  lcm.tpCollectiveShardBytes(tokens_local));
     }
     double cp_comm = 0.0;
@@ -123,12 +123,12 @@ evaluate(const PlanInput &in, const CollectiveModel &coll, std::int64_t tp,
             std::max<std::int64_t>(1, in.model.kv_heads / tp);
         const std::int64_t kv_shard =
             tokens_local * 2 * 2 * kv_heads_tp * in.model.headDim();
-        cp_comm = coll.allGather(grid.cpGroup(0), kv_shard) +
-                  coll.reduceScatter(grid.cpGroup(0), kv_shard);
+        cp_comm = coll.allGather(grid.cpSpan(0), kv_shard) +
+                  coll.reduceScatter(grid.cpSpan(0), kv_shard);
     }
 
     const std::int64_t fsdp_shard = cand.par.dp * cp;
-    const auto dpcp = grid.dpCpGroup(0);
+    const RankSpan dpcp = grid.dpCpSpan(0);
     const std::int64_t layer_param_bytes = static_cast<std::int64_t>(
         2.0 * in.model.paramsPerLayer() / static_cast<double>(tp));
 

@@ -154,7 +154,7 @@ simulateMultimodalStep(const MultimodalJobConfig &cfg)
     rep.text_pipeline_seconds = timeToSeconds(exec.makespan);
     rep.bubble_ratio = exec.overallBubbleRatio();
 
-    const auto pp_group = grid.ppGroup(0);
+    const RankSpan pp_group = grid.ppSpan(0);
     switch (cfg.encoder) {
       case EncoderSharding::FoldedIntoPipeline: {
         // Encoder time rides inside the pipeline (first stage); expose

@@ -139,8 +139,8 @@ TrainSim::TrainSim(TrainJobConfig job)
     }
 
     // ---- Per-layer communication (exposed on the critical path). ----
-    const auto tp_group = grid.tpGroup(0);
-    const auto cp_group = grid.cpGroup(0);
+    const RankSpan tp_group = grid.tpSpan(0);
+    const RankSpan cp_group = grid.cpSpan(0);
     double tp_comm_layer_fwd = 0.0;
     if (cfg.par.tp > 1) {
         tp_comm_layer_fwd =
@@ -256,7 +256,7 @@ TrainSim::TrainSim(TrainJobConfig job)
 
     // ---- FSDP exposure and optimizer. ----
     const std::int64_t fsdp_shard = cfg.par.dp * cfg.par.cp;
-    const auto dpcp_group = grid.dpCpGroup(0);
+    const RankSpan dpcp_group = grid.dpCpSpan(0);
     double exposed_fsdp = 0.0;
     if (fsdp_shard > 1) {
         // First parameter all-gather (one stage) has nothing to hide

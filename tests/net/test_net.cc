@@ -250,5 +250,15 @@ TEST_F(NetTest, GatherScalesWithGroupAndCrossesNodesSlower)
     EXPECT_DOUBLE_EQ(coll.gatherTo(ranks(0, 8), 0), 0.0);
 }
 
+TEST_F(NetTest, BroadcastRejectsNegativeSize)
+{
+    // Like every other collective: a negative payload is a caller bug,
+    // not a negative duration.
+    EXPECT_DEATH(coll.broadcast(ranks(0, 4, 8), -(1LL << 20)),
+                 "negative collective size");
+    EXPECT_DEATH(coll.broadcast(RankSpan{4, 0, 24}, -1),
+                 "negative collective size");
+}
+
 } // namespace
 } // namespace llm4d

@@ -49,7 +49,7 @@ inline constexpr LayerRow kLayerDag[] = {
     {"tensor", 1, "simcore"},
     {"hw", 1, "simcore"},
     {"parallel", 1, "simcore"},
-    {"net", 2, "simcore hw"},
+    {"net", 2, "simcore hw parallel"},
     {"model", 2, "simcore hw"},
     {"debug", 2, "simcore tensor parallel"},
     {"cp", 3, "simcore tensor hw net"},
