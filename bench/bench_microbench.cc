@@ -2,9 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the library itself: schedule
  * generation/execution, collective pricing, executable CP attention,
- * full training-step simulation, and the multi-day run loop. These guard
- * the simulator's own performance (an 8K-GPU imbalance sweep must stay
- * interactive).
+ * full training-step simulation, a straggler rerun, and the multi-day
+ * run loop. These guard the simulator's own performance (an 8K-GPU
+ * imbalance sweep must stay interactive).
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 #include "llm4d/net/collective.h"
 #include "llm4d/plan/planner.h"
 #include "llm4d/pp/executor.h"
+#include "llm4d/pp/legality.h"
 #include "llm4d/sim/train_run_sim.h"
 #include "llm4d/sim/train_sim.h"
 
@@ -43,6 +44,25 @@ BM_ExecuteSchedule(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ExecuteSchedule)->Arg(16)->Arg(64);
+
+void
+BM_TimeSchedule(benchmark::State &state)
+{
+    // BM_ExecuteSchedule's schedule and prices, checked once and timed
+    // without records: the path a TrainSim rerun takes.
+    const ScheduleParams p{16, 8, state.range(0), 16};
+    const LegalSchedule s = LegalSchedule::check(buildFlexible(p));
+    ExecPrices prices;
+    prices.stage.assign(static_cast<std::size_t>(p.numStages() * p.nmb),
+                        StageCost{9e-3, 18e-3});
+    prices.p2p_from_prev.assign(static_cast<std::size_t>(p.pp), 1e-3);
+    prices.p2p_from_next = prices.p2p_from_prev;
+    for (auto _ : state) {
+        ExecTiming t = timeSchedule(s, prices);
+        benchmark::DoNotOptimize(t.makespan);
+    }
+}
+BENCHMARK(BM_TimeSchedule)->Arg(16)->Arg(64);
 
 void
 BM_CollectivePricing(benchmark::State &state)
@@ -88,6 +108,32 @@ BM_TrainStepSimulation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TrainStepSimulation);
+
+void
+BM_StragglerRerun(benchmark::State &state)
+{
+    // A straggler set priced the way a degraded run prices it: one rerun
+    // of a built TrainSim under a changed PerfVariation. The job is
+    // Table 2's 131K row (tp8/cp16/pp16/dp8) with 4K-mean document
+    // masks; each iteration slows a different pipeline stage.
+    TrainJobConfig job;
+    job.par = ParallelismConfig{8, 16, 16, 8};
+    job.seq = 131072;
+    job.doc_mask_mean = 4096.0;
+    const TrainSim sim(job);
+    const RankGrid grid(job.par);
+    std::vector<PerfVariation> perfs(static_cast<std::size_t>(job.par.pp),
+                                     job.perf);
+    for (std::int64_t stage = 0; stage < job.par.pp; ++stage)
+        perfs[static_cast<std::size_t>(stage)].injectStraggler(
+            grid.rankOf(RankCoord{0, 0, stage, 0}), 0.7);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const TrainStepReport rep = sim.run(perfs[i++ % perfs.size()]);
+        benchmark::DoNotOptimize(rep.step_seconds);
+    }
+}
+BENCHMARK(BM_StragglerRerun)->Unit(benchmark::kMicrosecond);
 
 void
 BM_PlannerEnumeration(benchmark::State &state)

@@ -25,15 +25,17 @@ ExecConfig::uniform(double fwd_seconds, double bwd_seconds,
 }
 
 double
-ExecResult::bubbleRatio(std::int64_t rank) const
+ExecTiming::bubbleRatio(std::int64_t rank) const
 {
+    LLM4D_ASSERT(rank >= 0 && rank < static_cast<std::int64_t>(busy.size()),
+                 "rank out of range");
     const Time b = busy[static_cast<std::size_t>(rank)];
     LLM4D_ASSERT(b > 0, "rank did no work");
     return static_cast<double>(makespan - b) / static_cast<double>(b);
 }
 
 double
-ExecResult::maxBubbleRatio() const
+ExecTiming::maxBubbleRatio() const
 {
     double worst = 0.0;
     for (std::size_t r = 0; r < busy.size(); ++r)
@@ -43,15 +45,25 @@ ExecResult::maxBubbleRatio() const
 }
 
 double
-ExecResult::overallBubbleRatio() const
+ExecTiming::overallBubbleRatio() const
 {
     Time total_busy = 0;
     for (Time b : busy)
         total_busy += b;
+    LLM4D_ASSERT(total_busy > 0, "no rank did work");
     const Time total_span =
         makespan * static_cast<Time>(busy.size());
     return static_cast<double>(total_span - total_busy) /
            static_cast<double>(total_busy);
+}
+
+std::int64_t
+ExecTiming::peakInFlight(std::int64_t rank) const
+{
+    LLM4D_ASSERT(rank >= 0 && rank < static_cast<std::int64_t>(
+                                         in_flight_peak.size()),
+                 "rank out of range");
+    return in_flight_peak[static_cast<std::size_t>(rank)];
 }
 
 Time
@@ -64,15 +76,6 @@ ExecResult::opEnd(std::int64_t rank, PipeOpKind kind, std::int64_t vstage,
             return rec.end;
     }
     LLM4D_PANIC("operation not found in execution record");
-}
-
-std::int64_t
-ExecResult::peakInFlight(std::int64_t rank) const
-{
-    LLM4D_ASSERT(rank >= 0 && rank < static_cast<std::int64_t>(
-                                         in_flight_peak.size()),
-                 "rank out of range");
-    return in_flight_peak[static_cast<std::size_t>(rank)];
 }
 
 namespace {
@@ -133,111 +136,143 @@ class InFlightLedger
     std::int64_t peak_ = 0;
 };
 
-ExecResult
-execute(const Schedule &schedule, const ExecConfig &config)
+/**
+ * Times @p schedule under @p prices by walking @p order, a legality
+ * replay's order, so each op's producers are already timed when it is
+ * reached. Any order that keeps each rank's program order and puts every
+ * producer first gives the same integer times. When @p streams is set,
+ * also appends each op's record to its rank's stream, in program order.
+ */
+ExecTiming
+walk(const Schedule &schedule, const std::vector<RankRun> &order,
+     const ExecPrices &prices, std::vector<std::vector<OpRecord>> *streams)
+{
+    const ScheduleParams &p = schedule.params();
+    const auto pp = static_cast<std::size_t>(p.pp);
+    const auto nmb = static_cast<std::size_t>(p.nmb);
+    const auto cells = static_cast<std::size_t>(p.numStages()) * nmb;
+    const std::int64_t last_stage = p.numStages() - 1;
+    LLM4D_CHECK(prices.stage.size() == cells &&
+                    prices.p2p_from_prev.size() == pp &&
+                    prices.p2p_from_next.size() == pp,
+                "ExecPrices tables do not match the schedule's shape");
+
+    // Neighbour hand-offs in integer time, each price checked once.
+    std::vector<Time> from_prev(pp), from_next(pp);
+    for (std::size_t r = 0; r < pp; ++r) {
+        LLM4D_ASSERT(prices.p2p_from_prev[r] >= 0.0 &&
+                         prices.p2p_from_next[r] >= 0.0,
+                     "negative P2P price into rank " << r);
+        from_prev[r] = secondsToTime(prices.p2p_from_prev[r]);
+        from_next[r] = secondsToTime(prices.p2p_from_next[r]);
+    }
+
+    std::vector<Time> fwd_end(cells, 0);
+    std::vector<Time> bwd_end(cells, 0);
+    std::vector<Time> rank_free(pp, 0);
+    std::vector<std::size_t> pc(pp, 0);
+    std::vector<InFlightLedger> in_flight(pp);
+
+    ExecTiming timing;
+    timing.busy.assign(pp, 0);
+    for (const RankRun &run : order) {
+        const auto ri = static_cast<std::size_t>(run.rank);
+        const std::vector<PipeOp> &prog = schedule.program(run.rank);
+        for (std::int64_t n = 0; n < run.ops; ++n) {
+            const PipeOp &op = prog[pc[ri]++];
+            const std::int64_t g = schedule.globalStage(run.rank, op.stage);
+            const std::size_t cell =
+                static_cast<std::size_t>(g) * nmb +
+                static_cast<std::size_t>(op.mb);
+            const bool fwd = op.kind == PipeOpKind::Forward;
+            // Forward: the previous stage's forward plus its hand-off.
+            // Backward: its own forward, and the next stage's backward
+            // plus its hand-off.
+            Time ready = 0;
+            if (fwd) {
+                if (g > 0)
+                    ready = fwd_end[cell - nmb] + from_prev[ri];
+            } else {
+                ready = fwd_end[cell];
+                if (g < last_stage)
+                    ready = std::max(ready,
+                                     bwd_end[cell + nmb] + from_next[ri]);
+            }
+            const double dur_s = fwd ? prices.stage[cell].fwd_seconds
+                                     : prices.stage[cell].bwd_seconds;
+            LLM4D_ASSERT(dur_s >= 0.0, "negative stage cost");
+            const Time start = std::max(rank_free[ri], ready);
+            const Time end = start + secondsToTime(dur_s);
+            rank_free[ri] = end;
+            timing.busy[ri] += end - start;
+            (fwd ? fwd_end : bwd_end)[cell] = end;
+            // A backward's end is no later than the next op's start,
+            // so the rank's ledger events stay in time order.
+            if (fwd)
+                in_flight[ri].alloc(start);
+            else
+                in_flight[ri].free(end);
+            if (streams)
+                (*streams)[ri].push_back(OpRecord{run.rank, op, start, end});
+            timing.makespan = std::max(timing.makespan, end);
+        }
+    }
+    for (std::size_t r = 0; r < pp; ++r) {
+        const auto rank = static_cast<std::int64_t>(r);
+        LLM4D_ASSERT(pc[r] == schedule.program(rank).size(),
+                     "legality order skipped ops of rank " << r);
+        timing.in_flight_peak.push_back(in_flight[r].peak());
+    }
+    return timing;
+}
+
+/** @p config's callbacks, each called once per cell or neighbour pair. */
+ExecPrices
+tabulate(const Schedule &schedule, const ExecConfig &config)
 {
     LLM4D_CHECK(config.stage_cost && config.p2p_seconds,
                 "ExecConfig callbacks must be set");
     const ScheduleParams &p = schedule.params();
-    const std::int64_t cells = p.numStages() * p.nmb;
-    auto cell = [&](std::int64_t g, std::int64_t mb) {
-        return static_cast<std::size_t>(g * p.nmb + mb);
-    };
+    ExecPrices prices;
+    prices.stage.reserve(static_cast<std::size_t>(p.numStages() * p.nmb));
+    for (std::int64_t g = 0; g < p.numStages(); ++g) {
+        for (std::int64_t mb = 0; mb < p.nmb; ++mb)
+            prices.stage.push_back(
+                config.stage_cost(schedule.rankOfGlobalStage(g),
+                                  schedule.vstageOfGlobalStage(g), mb));
+    }
+    for (std::int64_t r = 0; r < p.pp; ++r) {
+        prices.p2p_from_prev.push_back(
+            config.p2p_seconds((r + p.pp - 1) % p.pp, r));
+        prices.p2p_from_next.push_back(
+            config.p2p_seconds((r + 1) % p.pp, r));
+    }
+    return prices;
+}
 
-    constexpr Time kPending = -1;
-    std::vector<Time> fwd_end(static_cast<std::size_t>(cells), kPending);
-    std::vector<Time> bwd_end(static_cast<std::size_t>(cells), kPending);
-    std::vector<Time> rank_free(static_cast<std::size_t>(p.pp), 0);
-    std::vector<std::size_t> pc(static_cast<std::size_t>(p.pp), 0);
-    std::vector<InFlightLedger> in_flight(static_cast<std::size_t>(p.pp));
+} // namespace
+
+ExecTiming
+timeSchedule(const LegalSchedule &schedule, const ExecPrices &prices)
+{
+    return walk(schedule.schedule(), schedule.order(), prices, nullptr);
+}
+
+ExecResult
+executeSchedule(const Schedule &schedule, const ExecConfig &config)
+{
+    const LegalityResult legal = checkSchedule(schedule);
+    LLM4D_CHECK(legal.legal, "illegal schedule: " << legal.reason);
+    const ScheduleParams &p = schedule.params();
+
     // Each rank's records in program order, i.e. in start order.
     std::vector<std::vector<OpRecord>> streams(
         static_cast<std::size_t>(p.pp));
     for (auto &stream : streams)
         stream.reserve(static_cast<std::size_t>(2 * p.tmb()));
-
-    ExecResult result;
-    result.busy.assign(static_cast<std::size_t>(p.pp), 0);
-
-    // Topological sweep: process each op once its dependency has a
-    // computed end time. Times are DAG-determined, so sweep order does
-    // not affect the result; legality guarantees termination. Each rank
-    // runs its program in order, so its start times never decrease.
-    auto dep_ready = [&](std::int64_t rank, const PipeOp &op,
-                         Time &ready_at) {
-        const std::int64_t g = schedule.globalStage(rank, op.stage);
-        if (op.kind == PipeOpKind::Forward) {
-            if (g == 0) {
-                ready_at = 0;
-                return true;
-            }
-            const Time producer = fwd_end[cell(g - 1, op.mb)];
-            if (producer == kPending)
-                return false;
-            const std::int64_t src = schedule.rankOfGlobalStage(g - 1);
-            ready_at = producer +
-                       secondsToTime(config.p2p_seconds(src, rank));
-            return true;
-        }
-        const Time own_fwd = fwd_end[cell(g, op.mb)];
-        if (own_fwd == kPending)
-            return false;
-        if (g == p.numStages() - 1) {
-            ready_at = own_fwd;
-            return true;
-        }
-        const Time producer = bwd_end[cell(g + 1, op.mb)];
-        if (producer == kPending)
-            return false;
-        const std::int64_t src = schedule.rankOfGlobalStage(g + 1);
-        ready_at = std::max(
-            own_fwd,
-            producer + secondsToTime(config.p2p_seconds(src, rank)));
-        return true;
-    };
-
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (std::int64_t r = 0; r < p.pp; ++r) {
-            const auto ri = static_cast<std::size_t>(r);
-            const auto &prog = schedule.program(r);
-            auto &cursor = pc[ri];
-            Time ready_at = 0;
-            while (cursor < prog.size() &&
-                   dep_ready(r, prog[cursor], ready_at)) {
-                const PipeOp &op = prog[cursor];
-                const std::int64_t g = schedule.globalStage(r, op.stage);
-                const StageCost cost = config.stage_cost(r, op.stage, op.mb);
-                const bool fwd = op.kind == PipeOpKind::Forward;
-                const double dur_s =
-                    fwd ? cost.fwd_seconds : cost.bwd_seconds;
-                LLM4D_ASSERT(dur_s >= 0.0, "negative stage cost");
-                const Time start = std::max(rank_free[ri], ready_at);
-                const Time end = start + secondsToTime(dur_s);
-                rank_free[ri] = end;
-                result.busy[ri] += end - start;
-                (fwd ? fwd_end : bwd_end)[cell(g, op.mb)] = end;
-                // A backward's end is no later than the next op's start,
-                // so the rank's ledger events stay in time order.
-                if (fwd)
-                    in_flight[ri].alloc(start);
-                else
-                    in_flight[ri].free(end);
-                streams[ri].push_back(OpRecord{r, op, start, end});
-                result.makespan = std::max(result.makespan, end);
-                ++cursor;
-                progress = true;
-            }
-        }
-    }
-    for (std::int64_t r = 0; r < p.pp; ++r) {
-        LLM4D_ASSERT(pc[static_cast<std::size_t>(r)] ==
-                         schedule.program(r).size(),
-                     "executor stalled despite legality check");
-        result.in_flight_peak.push_back(
-            in_flight[static_cast<std::size_t>(r)].peak());
-    }
+    ExecResult result{
+        walk(schedule, legal.order, tabulate(schedule, config), &streams),
+        {}};
 
     // Merge the streams by (start, rank): a min-heap over each rank's
     // next unmerged record.
@@ -256,22 +291,6 @@ execute(const Schedule &schedule, const ExecConfig &config)
             heads.emplace(stream[merged[ri]].start, ri);
     }
     return result;
-}
-
-} // namespace
-
-ExecResult
-executeSchedule(const Schedule &schedule, const ExecConfig &config)
-{
-    const LegalityResult legal = checkSchedule(schedule);
-    LLM4D_CHECK(legal.legal, "illegal schedule: " << legal.reason);
-    return execute(schedule, config);
-}
-
-ExecResult
-executeSchedule(const LegalSchedule &schedule, const ExecConfig &config)
-{
-    return execute(schedule.schedule(), config);
 }
 
 } // namespace llm4d

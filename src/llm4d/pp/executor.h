@@ -16,6 +16,13 @@
  * paper's "decoupled asynchronous P2P send and receive" (Section 5.2).
  * Idle gaps that open on the critical path are exactly the pipeline
  * bubbles of Figures 3 and 9.
+ *
+ * Both entry points run one loop: it walks the order in which the
+ * legality check completed the ops (LegalSchedule::order()), so every
+ * producer is timed before its consumer and no readiness is polled, and
+ * it reads each price from an ExecPrices table. timeSchedule() returns
+ * only the timings; executeSchedule() also builds the per-op records the
+ * timeline and memory views read.
  */
 
 #include <functional>
@@ -34,7 +41,27 @@ struct StageCost
     double bwd_seconds = 0.0;
 };
 
-/** Pricing callbacks for schedule execution. */
+/** The prices one execution reads, as tables. */
+struct ExecPrices
+{
+    /** Cost of each (global stage g, micro-batch mb), at g * nmb + mb. */
+    std::vector<StageCost> stage;
+
+    /** Seconds to move a boundary tensor into each rank from its previous
+     *  pipeline neighbour, (rank + pp - 1) % pp: a forward's input. */
+    std::vector<double> p2p_from_prev;
+
+    /** Seconds into each rank from its next neighbour, (rank + 1) % pp:
+     *  a backward's input. */
+    std::vector<double> p2p_from_next;
+};
+
+/**
+ * Pricing callbacks for schedule execution: the convenience form of
+ * ExecPrices. executeSchedule calls stage_cost once per (stage,
+ * micro-batch) and p2p_seconds once per neighbour pair, so both must be
+ * pure.
+ */
 struct ExecConfig
 {
     /** Cost of (rank, virtual stage) for micro-batch @p mb. */
@@ -60,27 +87,23 @@ struct OpRecord
     Time end = 0;
 };
 
-/** Result of executing a schedule. */
-struct ExecResult
+/** Timings of one execution: what a step's price reads. */
+struct ExecTiming
 {
-    /** Sorted by (start, rank); each rank's ops in program order. */
-    std::vector<OpRecord> records;
     Time makespan = 0;
     std::vector<Time> busy;                  ///< per-rank compute time
     std::vector<std::int64_t> in_flight_peak; ///< per-rank peakInFlight()
 
-    /** Idle-over-compute bubble ratio of one rank (paper Section 3.1.1). */
+    /** Idle-over-compute bubble ratio of one rank (paper Section 3.1.1).
+     *  Asserts the rank exists and did work. */
     double bubbleRatio(std::int64_t rank) const;
 
     /** Worst per-rank bubble ratio. */
     double maxBubbleRatio() const;
 
-    /** Pipeline-wide ratio: total idle over total compute. */
+    /** Pipeline-wide ratio: total idle over total compute. Asserts some
+     *  rank did work. */
     double overallBubbleRatio() const;
-
-    /** End time of a specific operation (asserts it exists). */
-    Time opEnd(std::int64_t rank, PipeOpKind kind, std::int64_t vstage,
-               std::int64_t mb) const;
 
     /**
      * Peak number of simultaneously in-flight micro-batches on a rank:
@@ -91,12 +114,28 @@ struct ExecResult
     std::int64_t peakInFlight(std::int64_t rank) const;
 };
 
-/** Execute @p schedule under @p config. Aborts on illegal schedules. */
-ExecResult executeSchedule(const Schedule &schedule,
-                           const ExecConfig &config);
+/** Result of executing a schedule: its timings plus every op's span. */
+struct ExecResult : ExecTiming
+{
+    /** Sorted by (start, rank); each rank's ops in program order. */
+    std::vector<OpRecord> records;
 
-/** Execute an already-checked schedule; no legality pass is repeated. */
-ExecResult executeSchedule(const LegalSchedule &schedule,
+    /** End time of a specific operation (asserts it exists). */
+    Time opEnd(std::int64_t rank, PipeOpKind kind, std::int64_t vstage,
+               std::int64_t mb) const;
+};
+
+/**
+ * Time an already-checked schedule under @p prices, building no records.
+ * Aborts if the tables do not match the schedule's shape or hold a
+ * negative price.
+ */
+ExecTiming timeSchedule(const LegalSchedule &schedule,
+                        const ExecPrices &prices);
+
+/** Execute @p schedule under @p config, with records. Aborts on illegal
+ *  schedules. */
+ExecResult executeSchedule(const Schedule &schedule,
                            const ExecConfig &config);
 
 } // namespace llm4d

@@ -35,7 +35,7 @@ checkSchedule(const Schedule &schedule)
                 std::ostringstream os;
                 os << "rank " << r << " op references stage " << op.stage
                    << " mb " << op.mb << " outside the schedule shape";
-                return {false, os.str()};
+                return {false, os.str(), {}};
             }
             const std::int64_t g = schedule.globalStage(r, op.stage);
             auto &seen =
@@ -47,7 +47,7 @@ checkSchedule(const Schedule &schedule)
                                                       : "backward")
                    << " of stage " << g << " mb " << op.mb << " on rank "
                    << r;
-                return {false, os.str()};
+                return {false, os.str(), {}};
             }
         }
     }
@@ -56,12 +56,12 @@ checkSchedule(const Schedule &schedule)
             if (!fwd_seen[cellIndex(p, g, mb)]) {
                 std::ostringstream os;
                 os << "missing forward of stage " << g << " mb " << mb;
-                return {false, os.str()};
+                return {false, os.str(), {}};
             }
             if (!bwd_seen[cellIndex(p, g, mb)]) {
                 std::ostringstream os;
                 os << "missing backward of stage " << g << " mb " << mb;
-                return {false, os.str()};
+                return {false, os.str(), {}};
             }
         }
     }
@@ -70,6 +70,7 @@ checkSchedule(const Schedule &schedule)
     std::vector<bool> fwd_done(static_cast<std::size_t>(cells), false);
     std::vector<bool> bwd_done(static_cast<std::size_t>(cells), false);
     std::vector<std::size_t> pc(static_cast<std::size_t>(p.pp), 0);
+    LegalityResult result{true, "", {}};
 
     auto ready = [&](std::int64_t rank, const PipeOp &op) {
         const std::int64_t g = schedule.globalStage(rank, op.stage);
@@ -88,6 +89,7 @@ checkSchedule(const Schedule &schedule)
         for (std::int64_t r = 0; r < p.pp; ++r) {
             const auto &prog = schedule.program(r);
             auto &cursor = pc[static_cast<std::size_t>(r)];
+            const std::size_t first = cursor;
             while (cursor < prog.size() && ready(r, prog[cursor])) {
                 const PipeOp &op = prog[cursor];
                 const std::int64_t g = schedule.globalStage(r, op.stage);
@@ -95,6 +97,10 @@ checkSchedule(const Schedule &schedule)
                     op.kind == PipeOpKind::Forward ? fwd_done : bwd_done;
                 done[cellIndex(p, g, op.mb)] = true;
                 ++cursor;
+            }
+            if (cursor > first) {
+                result.order.push_back(
+                    {r, static_cast<std::int64_t>(cursor - first)});
                 progress = true;
             }
         }
@@ -110,23 +116,23 @@ checkSchedule(const Schedule &schedule)
                << " ("
                << (op.kind == PipeOpKind::Forward ? "forward" : "backward")
                << " stage " << op.stage << " mb " << op.mb << ")";
-            return {false, os.str()};
+            return {false, os.str(), {}};
         }
     }
-    return {true, ""};
+    return result;
 }
 
-LegalSchedule::LegalSchedule(Schedule schedule)
-    : schedule_(std::move(schedule))
+LegalSchedule::LegalSchedule(Schedule schedule, std::vector<RankRun> order)
+    : schedule_(std::move(schedule)), order_(std::move(order))
 {
 }
 
 LegalSchedule
 LegalSchedule::check(Schedule schedule)
 {
-    const LegalityResult legal = checkSchedule(schedule);
+    LegalityResult legal = checkSchedule(schedule);
     LLM4D_CHECK(legal.legal, "illegal schedule: " << legal.reason);
-    return LegalSchedule(std::move(schedule));
+    return LegalSchedule(std::move(schedule), std::move(legal.order));
 }
 
 } // namespace llm4d

@@ -323,38 +323,30 @@ TrainSim::run(const PerfVariation &perf) const
     const RankGrid grid(cfg.par);
     const std::int64_t pp = cfg.par.pp;
 
-    // Stage costs at the speed of each PP coordinate's representative
-    // global rank.
-    std::vector<StageCost> stage_cost = stage_work_;
+    // The price table: stage work at the speed of each PP coordinate's
+    // representative global rank, scaled per micro-batch.
+    ExecPrices prices;
+    prices.stage.resize(static_cast<std::size_t>(pp * v_ * nmb_));
     for (std::int64_t r = 0; r < pp; ++r) {
         const double speed =
             perf.speedOf(grid.rankOf(RankCoord{0, 0, r, 0}));
         for (std::int64_t s = 0; s < v_; ++s) {
-            StageCost &sc =
-                stage_cost[static_cast<std::size_t>(r * v_ + s)];
-            sc.fwd_seconds /= speed;
-            sc.bwd_seconds /= speed;
+            StageCost base =
+                stage_work_[static_cast<std::size_t>(r * v_ + s)];
+            base.fwd_seconds /= speed;
+            base.bwd_seconds /= speed;
+            const std::int64_t g = schedule_.schedule().globalStage(r, s);
+            for (std::int64_t mb = 0; mb < nmb_; ++mb) {
+                const auto m = static_cast<std::size_t>(mb);
+                prices.stage[static_cast<std::size_t>(g * nmb_ + mb)] =
+                    StageCost{base.fwd_seconds * mb_fwd_scale_[m],
+                              base.bwd_seconds * mb_bwd_scale_[m]};
+            }
         }
     }
-
-    ExecConfig exec_cfg;
-    exec_cfg.stage_cost = [&](std::int64_t rank, std::int64_t vstage,
-                              std::int64_t mb) {
-        StageCost sc =
-            stage_cost[static_cast<std::size_t>(rank * v_ + vstage)];
-        sc.fwd_seconds *= mb_fwd_scale_[static_cast<std::size_t>(mb)];
-        sc.bwd_seconds *= mb_bwd_scale_[static_cast<std::size_t>(mb)];
-        return sc;
-    };
-    exec_cfg.p2p_seconds = [&](std::int64_t from, std::int64_t to) {
-        const auto into = static_cast<std::size_t>(to);
-        if (from == (to + pp - 1) % pp)
-            return p2p_from_prev_[into];
-        LLM4D_ASSERT(from == (to + 1) % pp,
-                     "P2P between non-adjacent pipeline ranks");
-        return p2p_from_next_[into];
-    };
-    const ExecResult exec = executeSchedule(schedule_, exec_cfg);
+    prices.p2p_from_prev = p2p_from_prev_;
+    prices.p2p_from_next = p2p_from_next_;
+    const ExecTiming exec = timeSchedule(schedule_, prices);
 
     TrainStepReport rep = invariant_report_;
     rep.step_seconds = timeToSeconds(exec.makespan) +

@@ -95,8 +95,8 @@ struct TrainStepReport
  * PerfVariation changes: the sampled micro-batch document masks and their
  * CP pair counts, the unit-speed stage costs, the neighbour P2P prices,
  * the FSDP/optimizer exposure, and the PP schedule, built and checked
- * once. run() then only scales the stage costs by per-rank speed and
- * executes that schedule.
+ * once. run() then only fills the executor's price table from the stage
+ * costs at per-rank speed and times that schedule.
  */
 class TrainSim
 {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "llm4d/pp/legality.h"
+
 namespace llm4d {
 namespace {
 
@@ -186,6 +188,48 @@ TEST(Executor, PerMicroBatchCostVariation)
         executeSchedule(s, ExecConfig::uniform(kF, kB, 0.0));
     EXPECT_LT(r.makespan, uniform.makespan);
     EXPECT_GT(r.makespan, uniform.makespan / 2);
+}
+
+TEST(ExecutorDeath, RejectsNegativeP2PPrice)
+{
+    const Schedule s = buildFlexible(ScheduleParams{4, 2, 8, 4});
+    EXPECT_DEATH(executeSchedule(s, ExecConfig::uniform(kF, kB, -5e-4)),
+                 "negative P2P price");
+    ExecPrices prices;
+    prices.stage.assign(8 * 8, StageCost{kF, kB});
+    prices.p2p_from_prev.assign(4, 0.0);
+    prices.p2p_from_next = {0.0, 0.0, -1e-9, 0.0};
+    EXPECT_DEATH(timeSchedule(LegalSchedule::check(s), prices),
+                 "negative P2P price into rank 2");
+}
+
+TEST(ExecutorDeath, RejectsPricesOfAnotherShape)
+{
+    ExecPrices prices;
+    prices.stage.assign(4 * 8, StageCost{kF, kB}); // v = 1's cells
+    prices.p2p_from_prev.assign(4, 0.0);
+    prices.p2p_from_next.assign(4, 0.0);
+    EXPECT_DEATH(timeSchedule(LegalSchedule::check(buildFlexible(
+                                  ScheduleParams{4, 2, 8, 4})),
+                              prices),
+                 "do not match the schedule's shape");
+}
+
+TEST(ExecutorDeath, BubbleRatioChecksRank)
+{
+    const ExecResult r = executeSchedule(
+        buildFlexible(ScheduleParams{4, 2, 8, 4}),
+        ExecConfig::uniform(kF, kB, 0.0));
+    EXPECT_DEATH(r.bubbleRatio(7), "rank out of range");
+    EXPECT_DEATH(r.bubbleRatio(-1), "rank out of range");
+}
+
+TEST(ExecutorDeath, OverallBubbleRatioNeedsWork)
+{
+    const ExecResult r = executeSchedule(
+        buildFlexible(ScheduleParams{4, 2, 8, 4}),
+        ExecConfig::uniform(0.0, 0.0, 0.0));
+    EXPECT_DEATH(r.overallBubbleRatio(), "no rank did work");
 }
 
 } // namespace

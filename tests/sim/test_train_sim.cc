@@ -239,6 +239,74 @@ TEST(TrainSimGolden, LongContext131kShrunkToDp4)
           0x1.e52863p+35, 0x1.df6063p+35, 0x1.d934c6ap+35}});
 }
 
+/** The 8K job with AFAB and half the batch: 8 micro-batches, 16 ranks. */
+TEST(TrainSimGolden, AfabWithFewerMicroBatchesThanRanks)
+{
+    TrainJobConfig cfg = production8k();
+    cfg.global_batch_tokens /= 2;
+    cfg.schedule = ScheduleKind::AllForwardAllBackward;
+    std::vector<double> memory(16, 0x1.49ba618p+35);
+    memory.front() = 0x1.43d00d5p+35;
+    memory.back() = 0x1.496f0d5p+35;
+    expectGolden(TrainSim(cfg).run(),
+                 {0x1.651c3466d587ep+2, 0x1.d24be93741435p+7,
+                  0x1.435bafaae1d4p+0, memory});
+}
+
+TEST(TrainSimGolden, Classic1F1BAtTwiceTheBatch)
+{
+    TrainJobConfig cfg = production8k();
+    cfg.global_batch_tokens *= 2;
+    cfg.schedule = ScheduleKind::Interleaved1F1B;
+    expectGolden(
+        TrainSim(cfg).run(),
+        {0x1.4cf3a6a087383p+3, 0x1.f421557151757p+8, 0x1.9cdf594d4fa9bp-4,
+         {0x1.141606a8p+36, 0x1.142730cp+36, 0x1.114330cp+36,
+          0x1.0e5f30cp+36, 0x1.0b7b30cp+36, 0x1.089730cp+36,
+          0x1.05b330cp+36, 0x1.02cf30cp+36, 0x1.ffd6618p+35,
+          0x1.fa0e618p+35, 0x1.f446618p+35, 0x1.ee7e618p+35,
+          0x1.e8b6618p+35, 0x1.e2ee618p+35, 0x1.dd26618p+35,
+          0x1.d7130d5p+35}});
+}
+
+TEST(TrainSimGolden, FlexibleWithMoreConsecutiveMicroBatchesThanRanks)
+{
+    TrainJobConfig cfg = production8k();
+    cfg.global_batch_tokens *= 2;
+    cfg.nc = 24; // pp = 16, nmb = 32
+    expectGolden(
+        TrainSim(cfg).run(),
+        {0x1.7218a224eedddp+3, 0x1.c1ef5a556923fp+8, 0x1.d60adfd7c92bfp-3,
+         {0x1.650606a8p+36, 0x1.651730cp+36, 0x1.623330cp+36,
+          0x1.5f4f30cp+36, 0x1.5c6b30cp+36, 0x1.598730cp+36,
+          0x1.56a330cp+36, 0x1.53bf30cp+36, 0x1.50db30cp+36,
+          0x1.4df730cp+36, 0x1.4b1330cp+36, 0x1.482f30cp+36,
+          0x1.454b30cp+36, 0x1.426730cp+36, 0x1.3f8330cp+36,
+          0x1.3c7986a8p+36}});
+}
+
+/** One pipeline rank: every producer runs on the consumer's own rank. */
+TEST(TrainSimGolden, SinglePipelineRank)
+{
+    TrainJobConfig cfg = production8k();
+    cfg.model = ModelConfig::scaledDown405b(8);
+    cfg.par = ParallelismConfig{8, 1, 1, 16};
+    cfg.cluster = ClusterSpec::llama3Production(128);
+    cfg.global_batch_tokens = 256LL * 8192;
+    expectGolden(TrainSim(cfg).run(),
+                 {0x1.3f95e59883486p+2, 0x1.1c07963519e48p+9, 0x0p+0,
+                  {0x1.de35d8p+34}});
+}
+
+TEST(TrainSimGolden, Production8kWithJitteredPerf)
+{
+    TrainJobConfig cfg = production8k();
+    cfg.perf = PerfVariation::jitter(0.03, 5);
+    expectGolden(TrainSim(cfg).run(),
+                 {0x1.85954cd57b1bcp+2, 0x1.ab6ddf9574ab6p+8,
+                  0x1.ae31afb36e807p-3, kProductionMemory});
+}
+
 void
 expectSameReport(const TrainStepReport &a, const TrainStepReport &b)
 {
