@@ -6,10 +6,8 @@
 # Exports <rev> with `git archive` into a temporary directory, builds it
 # and the working tree (each in a build directory of its own), and then
 # compares, byte for byte:
-#   - the output of every bench_* binary except bench_microbench, whose
-#     timings differ from run to run;
-#   - bench_goodput and bench_goodput_planner with --smoke;
-#   - the output of every example;
+#   - every bench and example report that scripts/write_reports.sh
+#     writes, exit status included;
 #   - the perfbench digest for seeds 1-5 on every workload, each run also
 #     required to report "failed": 0.
 # Exits non-zero if anything differs or fails. Two full builds take a
@@ -41,40 +39,20 @@ done
 
 status=0
 
-# compare <name> <binary path under the build directory> [args...]
-compare() {
-    local name=$1 binary=$2
-    shift 2
-    local key=${name//[^A-Za-z0-9_]/_}
-    for tree in old new; do
-        local out="${tmp}/${key}.${tree}"
-        if [[ -x "${tmp}/${tree}-build/${binary}" ]]; then
-            "${tmp}/${tree}-build/${binary}" "$@" > "${out}" 2>&1 &&
-                echo "exit 0" >> "${out}" || echo "exit $?" >> "${out}"
-        else
-            echo "missing" > "${out}"
-        fi
-    done
-    if cmp -s "${tmp}/${key}.old" "${tmp}/${key}.new"; then
-        echo "same       ${name}"
+# The working tree's write_reports.sh writes both trees' reports.
+for tree in old new; do
+    scripts/write_reports.sh "${tmp}/${tree}-build" "${tmp}/${tree}-reports"
+done
+while read -r report; do
+    if cmp -s "${tmp}/old-reports/${report}" "${tmp}/new-reports/${report}"
+    then
+        echo "same       ${report}"
     else
-        echo "DIFFERENT  ${name}"
+        echo "DIFFERENT  ${report}"
         status=1
     fi
-}
-
-for path in "${tmp}"/new-build/bench/bench_*; do
-    name=$(basename "${path}")
-    [[ ${name} == bench_microbench ]] && continue
-    compare "${name}" "bench/${name}"
-done
-compare "bench_goodput --smoke" bench/bench_goodput --smoke
-compare "bench_goodput_planner --smoke" bench/bench_goodput_planner --smoke
-for path in "${tmp}"/new-build/examples/*; do
-    [[ -f ${path} && -x ${path} ]] || continue
-    name=$(basename "${path}")
-    compare "examples/${name}" "examples/${name}"
-done
+done < <(cd "${tmp}" && find old-reports new-reports -type f |
+    sed 's|^[a-z]*-reports/||' | sort -u)
 
 # perfbench builds its own tree (.bench_build/) inside each checkout.
 for workload in run_degraded plan_sweep; do

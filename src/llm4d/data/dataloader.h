@@ -67,8 +67,6 @@ class SyntheticDataLoader
     /** Next sequence for DP group @p dp_group. */
     TokenBatch next(std::int64_t dp_group);
 
-    std::int32_t eosId() const { return eos_; }
-
   private:
     std::int64_t seq_;
     std::int64_t vocab_;

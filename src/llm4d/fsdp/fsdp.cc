@@ -76,10 +76,9 @@ double
 p2pCongestionFactor(bool fsdp_comm_active)
 {
     // Calibrated to a moderate effect: concurrent reduce-scatter traffic
-    // shaves ~30% off effective P2P bandwidth on the shared NIC. The
-    // flow-level simulator (net/flow_sim.h, measuredCongestionFactor)
-    // grounds this: a fully-overlapped equal-size aggressor doubles the
-    // victim's time; 1.4 models the partial overlap seen in practice.
+    // shaves ~30% off effective P2P bandwidth on the shared NIC. Under
+    // fair sharing, a fully-overlapped equal-size aggressor would double
+    // the victim's time; 1.4 models the partial overlap seen in practice.
     return fsdp_comm_active ? 1.4 : 1.0;
 }
 

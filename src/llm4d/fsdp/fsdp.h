@@ -90,6 +90,13 @@ PpFsdpChoice choosePpFsdpCombo(std::int64_t bs, std::int64_t pp);
  */
 double p2pCongestionFactor(bool fsdp_comm_active);
 
+/**
+ * Fraction of each extra ZeRO-2 reduce-scatter (one per consecutive
+ * micro-batch round after a stage's first, Fig. 4c) that ends up exposed
+ * through the same NIC contention with P2P traffic (Section 3.1.3).
+ */
+inline constexpr double kZero2RsExposedShare = 0.5;
+
 } // namespace llm4d
 
 #endif // LLM4D_FSDP_FSDP_H_

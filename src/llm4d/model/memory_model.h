@@ -123,8 +123,6 @@ class MemoryModel
                              bool has_embedding, bool has_head,
                              ActivationMode act) const;
 
-    ZeroMode zeroMode() const { return mode_; }
-
   private:
     double paramCount(std::int64_t layers, bool has_embedding,
                       bool has_head) const;

@@ -23,10 +23,6 @@ struct ComboVariant
     ScheduleKind schedule;
 };
 
-/** Fraction of each extra ZeRO-2 reduce-scatter that ends up exposed via
- *  NIC contention with P2P traffic (Section 3.1.3's congestion finding). */
-constexpr double kZero2RsExposedShare = 0.5;
-
 } // namespace
 
 const char *

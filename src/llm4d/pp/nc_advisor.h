@@ -32,9 +32,6 @@ struct NcAdvice
     std::int64_t in_flight = 0;    ///< rank-0 peak in-flight micro-batches
     double peak_bytes = 0.0;       ///< fixed + in_flight * act
     bool fits = false;
-
-    /** True when the advice degenerates to all-forward-all-backward. */
-    bool isAfab(const ScheduleParams &p) const { return nc < p.pp; }
 };
 
 /**

@@ -60,8 +60,6 @@ struct MultimodalJobConfig
      * stage costs).
      */
     bool separate_cross_stages = false;
-
-    std::int64_t selfLayersPerStage() const { return mm.self_per_cross; }
 };
 
 /** Outcome of one simulated multimodal step. */

@@ -5,7 +5,6 @@
 #include <map>
 #include <optional>
 
-#include "llm4d/net/flow_sim.h"
 #include "llm4d/net/topology.h"
 #include "llm4d/simcore/common.h"
 #include "llm4d/simcore/engine.h"
@@ -39,27 +38,35 @@ sameJob(const TrainRunConfig &cfg, const TrainRunSim &other)
     return other;
 }
 
+/** Lowest link capacity priced: 1/capacity seconds must fit the
+ *  nanosecond clock with room to spare. */
+constexpr double kMinLinkCapacity = 1e-6;
+
 /**
- * Step-time multiplier when the NICs run at @p capacity of their rate.
- * Only the NIC-bound share of the step stretches: FSDP + CP exposure
- * crosses the NICs, TP is NVLink-local and immune, and a 2% floor
- * covers PP P2P and infra traffic the step report does not itemize.
- * The transfer-level slowdown comes from the flow simulator's
- * capacity-reduction machinery (link flaps and spine-crossing
- * displaced ranks both price through here).
+ * Step-time multiplier when the NICs run at @p capacity of their rate
+ * (link flaps and spine-crossing displaced ranks both price through
+ * here). Only the NIC-bound share of the step stretches: FSDP + CP
+ * exposure crosses the NICs, TP is NVLink-local and immune, and a 2%
+ * floor covers PP P2P and infra traffic the step report does not
+ * itemize. A 1-second reference transfer with the whole degraded link
+ * to itself takes bytes / rate = nic / (nic * capacity) seconds on the
+ * nanosecond clock. Keep that form: 1 / capacity rounds differently at
+ * some capacities, and every report depends on the bits.
  */
 double
 nicSlowdown(const TrainStepReport &base, const ClusterSpec &cluster,
             double capacity)
 {
+    LLM4D_CHECK(capacity >= kMinLinkCapacity && capacity <= 1.0,
+                "link capacity factor must be in [" << kMinLinkCapacity
+                    << ", 1], got " << capacity);
     const double nic_share = std::clamp(
         (base.exposed_fsdp_seconds + base.exposed_cp_seconds) /
             base.step_seconds,
         0.02, 0.9);
     const double nic_bps = cluster.node.gpu.nic_bw_gbps * 1e9;
-    const double xfer_slowdown = flapSlowdownFactor(
-        nic_bps, nic_bps /* a 1-second reference transfer */, capacity, 0,
-        secondsToTime(1e6));
+    const double xfer_slowdown =
+        timeToSeconds(secondsToTime(nic_bps / (nic_bps * capacity)));
     return 1.0 + (xfer_slowdown - 1.0) * nic_share;
 }
 

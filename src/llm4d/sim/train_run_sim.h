@@ -41,8 +41,8 @@
  *    them, then either rebalance micro-batches away from the culprit
  *    (bounded by DP-peer memory headroom) or force a maintenance
  *    restart that evicts it;
- *  - NIC flaps degrade (not kill) steps for their duration via the
- *    FlowSim-derived link-capacity slowdown.
+ *  - NIC flaps degrade (not kill) steps for their duration: the
+ *    NIC-bound share of the step runs at the flapped link capacity.
  *
  * The report is MegaScale's first-order production metric: goodput —
  * effective TFLOPs/GPU after discounting lost, degraded, and overhead
@@ -429,7 +429,7 @@ class JobPricing
 
     /** Step-time multiplier while any rank is displaced cross-pod:
      *  the NIC-bound share of the step runs at spine (1/oversub)
-     *  capacity, through the same FlowSim machinery as a link flap. */
+     *  capacity, priced like a link flap at that capacity. */
     [[nodiscard]] double displacementSlowdown() const
     {
         return displacement_slowdown_;

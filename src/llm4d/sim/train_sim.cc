@@ -280,7 +280,7 @@ TrainSim::TrainSim(TrainJobConfig job)
             const std::int64_t rounds =
                 ceilDiv(nmb_, schedule_.schedule().params().nc);
             exposed_fsdp +=
-                0.5 *
+                kZero2RsExposedShare *
                 coll.reduceScatter(dpcp_group,
                                    traffic.reduceScatterShardBytes()) *
                 static_cast<double>(v_) *

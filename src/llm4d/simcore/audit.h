@@ -16,10 +16,9 @@
  * Building with -DLLM4D_AUDIT=ON (the `audit` CMake preset) compiles
  * redundant cross-checks into the hot paths of simcore::Engine
  * (event-time monotonicity, FIFO tie-break integrity across
- * cancellation), net::FlowSim (non-negative residual link capacity,
- * per-flow byte conservation on release), and sim::TrainRunSim (the
- * lost-time breakdown buckets must sum to the wall clock; rollback must
- * never touch durable progress). A violated invariant aborts with a
+ * cancellation) and sim::TrainRunSim (the lost-time breakdown buckets
+ * must sum to the wall clock; rollback must never touch durable
+ * progress). A violated invariant aborts with a
  * structured `audit[<subsystem>]` message so CI output is greppable.
  *
  * In regular builds every check compiles to nothing; audit state fields
@@ -39,7 +38,7 @@
 
 /**
  * Audited invariant: abort with a structured message when @p cond fails.
- * @p subsystem must be a string literal ("engine", "flowsim", "sim").
+ * @p subsystem must be a string literal ("engine", "sim").
  */
 #define LLM4D_AUDIT_CHECK(subsystem, cond, msg)                              \
     do {                                                                     \

@@ -59,20 +59,6 @@ ceilDiv(std::int64_t a, std::int64_t b)
     return (a + b - 1) / b;
 }
 
-/** Round @p a up to the next multiple of @p b (b > 0). */
-constexpr std::int64_t
-roundUp(std::int64_t a, std::int64_t b)
-{
-    return ceilDiv(a, b) * b;
-}
-
-/** True when @p x is a power of two (x > 0). */
-constexpr bool
-isPow2(std::int64_t x)
-{
-    return x > 0 && (x & (x - 1)) == 0;
-}
-
 } // namespace llm4d
 
 #endif // LLM4D_SIMCORE_COMMON_H_

@@ -70,28 +70,4 @@ Engine::run()
     return now_;
 }
 
-Time
-Engine::runUntil(Time limit)
-{
-    while (!queue_.empty() && queue_.top().when <= limit) {
-        Event ev;
-        if (!popInto(ev))
-            continue;
-        auditExecuted(ev.when, ev.seq);
-        now_ = ev.when;
-        ++processed_;
-        ev.fn();
-    }
-    if (now_ < limit)
-        now_ = limit;
-    return now_;
-}
-
-Time
-Engine::runFor(Time duration)
-{
-    LLM4D_ASSERT(duration >= 0, "negative run duration " << duration);
-    return runUntil(now_ + duration);
-}
-
 } // namespace llm4d

@@ -61,22 +61,6 @@ class Engine
     /** Run until the event queue drains. @return final simulated time. */
     Time run();
 
-    /**
-     * Run until the queue drains or simulated time would exceed @p limit.
-     * Events at exactly @p limit still execute, in FIFO scheduling order
-     * among themselves (see file comment); events later than @p limit
-     * stay queued. The clock always ends at @p limit or later, even when
-     * the queue drains early or only later events remain.
-     * @return simulated time when the run stopped (>= @p limit).
-     */
-    Time runUntil(Time limit);
-
-    /**
-     * Run for a further @p duration of simulated time (>= 0); equivalent
-     * to runUntil(now() + duration).
-     */
-    Time runFor(Time duration);
-
     /** Number of events executed so far (cancelled events excluded). */
     std::int64_t eventsProcessed() const { return processed_; }
 

@@ -308,6 +308,39 @@ TEST(FaultModel, CorrelationOffKeepsPodHeatUnbuilt)
     EXPECT_NE(corr.podHeat(), nullptr);
 }
 
+TEST(FaultModel, FixedFlapCapacityDrawsExactlyThatCapacity)
+{
+    // A one-point capacity range still draws from the flap stream: every
+    // flap lands at that capacity and at the times of the default range.
+    FaultTuning fixed;
+    fixed.flap_capacity_lo = 0.3;
+    fixed.flap_capacity_hi = 0.3;
+    FaultModel model(production16k(), fixed, 5);
+    FaultModel ranged(production16k(), FaultTuning{}, 5);
+    int flaps = 0;
+    const auto events = drain(model, 300);
+    const auto ranged_events = drain(ranged, 300);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].when, ranged_events[i].when) << "event " << i;
+        EXPECT_EQ(events[i].kind, ranged_events[i].kind) << "event " << i;
+        if (events[i].kind == FaultKind::LinkFlap) {
+            ++flaps;
+            EXPECT_EQ(events[i].severity, 0.3) << "event " << i;
+        }
+    }
+    EXPECT_GT(flaps, 0);
+}
+
+TEST(FaultModelDeathTest, RejectsFlapCapacitiesOutsideTheUnitInterval)
+{
+    FaultTuning dead_link;
+    dead_link.flap_capacity_lo = 0.0;
+    EXPECT_DEATH(dead_link.validate(), "flap capacity range");
+    FaultTuning faster_link;
+    faster_link.flap_capacity_hi = 1.5;
+    EXPECT_DEATH(faster_link.validate(), "flap capacity range");
+}
+
 TEST(FaultModelDeathTest, RejectsBadTuning)
 {
     FaultTuning bad;

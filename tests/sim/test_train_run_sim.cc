@@ -1810,6 +1810,153 @@ TEST(TrainRunSimGolden, TruncatedAtTheWallLimit)
                   0, 5});
 }
 
+TEST(TrainRunSimGolden, CrossPodSwapsAndMigrationsFromPodReserves)
+{
+    // One spare per pod: a pod whose reserve is dry swaps in a spare
+    // from another pod, and the displaced rank's spine crossing slows
+    // every step until it migrates home at a checkpoint boundary. Three
+    // flaps land along the way.
+    TrainRunConfig cfg = wornFleetConfig();
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours /= 4.0;
+    cfg.job.cluster.node.host_mtbf_hours /= 4.0;
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 1000.0;
+    cfg.total_steps = 3000;
+    cfg.seed = 12;
+    cfg.policy.mode = RecoveryMode::WarmSpare;
+    cfg.policy.spare_hosts = 4;
+    cfg.policy.spare_placement = SparePlacementPolicy::PerPodReserve;
+    cfg.policy.placement_migration = true;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    expectGolden(rep, {0x1.8f09292dac022p+14, 0x1.06c85fae3833p+14,
+                       0x1.4de689ec94408p+9, 0x1.c9b2659e98c12p+9,
+                       0x1.77750331e3a79p+12, 0x1.a4p+7, 0x0p+0, 148, 0, 7,
+                       0, 0, 0, 0, 10});
+    EXPECT_EQ(rep.cross_pod_swaps, 5);
+    EXPECT_EQ(rep.placement_migrations, 5);
+    EXPECT_EQ(rep.displacement_seconds, 0x1.e79c1cd6a568bp+7);
+    EXPECT_EQ(rep.faults.link_flaps, 3);
+}
+
+TEST(JobPricingGolden, DisplacementSlowdownPerSpineOversubscription)
+{
+    // A displaced rank runs the NIC-bound share of the step at
+    // 1/oversubscription of the NIC rate, priced like a link flap at
+    // that capacity. Pinned bit for bit on the default 8K job and on
+    // perfbench's run_degraded job: Table 2's 131K row
+    // (tp8/cp16/pp16/dp8) with 4K-mean document masks.
+    struct Pin
+    {
+        double oversubscription;
+        double production;
+        double long_context;
+    };
+    for (const Pin &pin : {Pin{1.0, 0x1p+0, 0x1p+0},
+                           Pin{7.0, 0x1.7d8253f5776ap+0,
+                               0x1.c96d0431be7e5p+0},
+                           Pin{14.0, 0x1.7ab686ff3a869p+1,
+                               0x1.b70432174dcdep+1}}) {
+        TrainJobConfig production;
+        TrainJobConfig long_context;
+        long_context.par = ParallelismConfig{8, 16, 16, 8};
+        long_context.seq = 131072;
+        long_context.doc_mask_mean = 4096.0;
+        production.cluster.spine_oversubscription = pin.oversubscription;
+        long_context.cluster.spine_oversubscription = pin.oversubscription;
+        EXPECT_EQ(JobPricing(production).displacementSlowdown(),
+                  pin.production)
+            << "oversubscription " << pin.oversubscription;
+        EXPECT_EQ(JobPricing(long_context).displacementSlowdown(),
+                  pin.long_context)
+            << "oversubscription " << pin.oversubscription;
+    }
+}
+
+/** Share of @p step that crosses the NICs, as the NIC price reads it:
+ *  exposed FSDP + CP over the step, between a 2% floor and 90%. */
+double
+nicBoundShare(const TrainStepReport &step)
+{
+    return std::clamp(
+        (step.exposed_fsdp_seconds + step.exposed_cp_seconds) /
+            step.step_seconds,
+        0.02, 0.9);
+}
+
+TEST(JobPricing, DisplacementSlowdownStretchesOnlyTheNicBoundShare)
+{
+    // The spine offers 1/oversubscription of the NIC rate, so the
+    // NIC-bound share of the step takes oversubscription times as long
+    // and the rest of the step none longer. The long-context job adds
+    // exposed CP traffic to that share.
+    TrainJobConfig long_context;
+    long_context.par = ParallelismConfig{8, 16, 16, 8};
+    long_context.seq = 131072;
+    long_context.doc_mask_mean = 4096.0;
+    for (TrainJobConfig job : {TrainJobConfig{}, long_context}) {
+        for (double oversubscription : {2.0, 2.5, 4.0, 7.0, 14.0}) {
+            job.cluster.spine_oversubscription = oversubscription;
+            const JobPricing pricing(job);
+            const double share = nicBoundShare(pricing.baseStep());
+            EXPECT_GT(share, 0.02);
+            EXPECT_LT(share, 0.9);
+            EXPECT_DOUBLE_EQ(pricing.displacementSlowdown(),
+                             1.0 + (oversubscription - 1.0) * share)
+                << "seq " << job.seq << ", oversubscription "
+                << oversubscription;
+        }
+    }
+}
+
+TEST(JobPricing, DisplacementSlowdownGrowsWithSpineOversubscription)
+{
+    // More oversubscription, less spine capacity, slower steps; never
+    // slower than the whole step running at the spine's rate.
+    double prev = 0.0;
+    for (double oversubscription = 1.0; oversubscription <= 16.0;
+         oversubscription += 0.5) {
+        TrainJobConfig job;
+        job.cluster.spine_oversubscription = oversubscription;
+        const double slowdown = JobPricing(job).displacementSlowdown();
+        EXPECT_GE(slowdown, 1.0);
+        EXPECT_LE(slowdown, oversubscription);
+        if (oversubscription > 1.0) {
+            EXPECT_GT(slowdown, prev)
+                << "oversubscription " << oversubscription;
+        }
+        prev = slowdown;
+    }
+}
+
+TEST(JobPricing, NicFloorPricesJobsWithoutExposedNicTraffic)
+{
+    // One TP-only node exposes no FSDP or CP traffic; the 2% floor, kept
+    // for P2P and infra traffic the step report does not itemize, is
+    // the whole NIC-bound share.
+    TrainJobConfig job;
+    job.cluster = ClusterSpec::llama3Production(8);
+    job.par = ParallelismConfig{8, 1, 1, 1};
+    job.global_batch_tokens = 4LL * 8192;
+    job.cluster.spine_oversubscription = 7.0;
+    const JobPricing pricing(job);
+    EXPECT_EQ(pricing.baseStep().exposed_fsdp_seconds, 0.0);
+    EXPECT_EQ(pricing.baseStep().exposed_cp_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(pricing.displacementSlowdown(), 1.0 + 6.0 * 0.02);
+}
+
+TEST(JobPricing, PricesTheLowestAcceptedSpineCapacity)
+{
+    // 1e6x oversubscription is the lowest capacity the clock prices
+    // (1e-6 of the NIC): the NIC-bound share stretches a million-fold
+    // and the price stays finite.
+    TrainJobConfig job;
+    job.cluster.spine_oversubscription = 1e6;
+    const JobPricing pricing(job);
+    const double slowdown = pricing.displacementSlowdown();
+    EXPECT_TRUE(std::isfinite(slowdown));
+    EXPECT_DOUBLE_EQ(slowdown,
+                     1.0 + (1e6 - 1.0) * nicBoundShare(pricing.baseStep()));
+}
+
 /** @p rep without what its NIC flaps own: their timeline entries, their
  *  count, and the engine events they took. */
 TrainRunReport
@@ -1854,6 +2001,92 @@ TEST(TrainRunSim, FullCapacityFlapsChangeNothing)
             << rep.faults.link_flaps << " flaps";
     }
     EXPECT_GT(flaps, 200);
+}
+
+/** wornFleetConfig with NIC flaps, all at link capacity @p capacity, as
+ *  its only faults. */
+TrainRunConfig
+flapOnlyConfig(double capacity)
+{
+    TrainRunConfig cfg = wornFleetConfig();
+    disableAllFaults(cfg);
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 200.0;
+    cfg.faults.flap_capacity_lo = capacity;
+    cfg.faults.flap_capacity_hi = capacity;
+    return cfg;
+}
+
+TEST(TrainRunSim, LowerFlapCapacityDegradesMore)
+{
+    // The same flap stream (a fixed capacity still draws it) at less
+    // and less of the link: each step a flap overlaps costs more. A
+    // slower run lasts longer, so it meets at least as many flaps.
+    const TrainRunReport base = TrainRunSim(flapOnlyConfig(1.0)).run();
+    ASSERT_GT(base.faults.link_flaps, 0);
+    EXPECT_EQ(base.degraded_seconds, 0.0);
+    double prev_degraded = 0.0;
+    for (double capacity : {0.6, 0.3, 0.15, 0.05}) {
+        const TrainRunReport rep =
+            TrainRunSim(flapOnlyConfig(capacity)).run();
+        ASSERT_TRUE(rep.completed);
+        EXPECT_GE(rep.faults.link_flaps, base.faults.link_flaps);
+        EXPECT_EQ(rep.steps_committed, base.steps_committed);
+        EXPECT_EQ(rep.restarts, 0);
+        EXPECT_GT(rep.degraded_seconds, prev_degraded)
+            << "capacity " << capacity;
+        prev_degraded = rep.degraded_seconds;
+    }
+}
+
+TEST(TrainRunSim, FlapsOnlyAddDegradedTime)
+{
+    // A flap slows the steps it overlaps and takes nothing else: the
+    // flapped run's extra wall-clock time is exactly its degraded time.
+    TrainRunConfig flap_free = flapOnlyConfig(1.0);
+    flap_free.job.cluster.node.nic_flap_mtbf_hours = 0.0;
+    const TrainRunReport base = TrainRunSim(flap_free).run();
+    const TrainRunReport rep = TrainRunSim(flapOnlyConfig(0.3)).run();
+    ASSERT_GT(rep.faults.link_flaps, 0);
+    EXPECT_GT(rep.degraded_seconds, 0.0);
+    EXPECT_EQ(rep.steps_committed, base.steps_committed);
+    EXPECT_EQ(rep.steps_lost, 0);
+    EXPECT_DOUBLE_EQ(rep.productive_seconds, base.productive_seconds);
+    EXPECT_DOUBLE_EQ(rep.checkpoint_seconds, base.checkpoint_seconds);
+    EXPECT_NEAR(rep.wall_seconds - base.wall_seconds, rep.degraded_seconds,
+                1e-6 * rep.wall_seconds);
+}
+
+TEST(TrainRunSim, FlapsAtTheLowestPricedCapacityComplete)
+{
+    // 1e-6 of the link is the lowest capacity the clock prices: a step
+    // a flap overlaps stretches a million-fold on its NIC-bound share,
+    // and the run still finishes on a finite clock.
+    TrainRunConfig cfg = flapOnlyConfig(1e-6);
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 2000.0;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    ASSERT_GT(rep.faults.link_flaps, 0);
+    EXPECT_TRUE(rep.completed);
+    EXPECT_TRUE(std::isfinite(rep.wall_seconds));
+    EXPECT_EQ(rep.steps_committed, cfg.total_steps);
+    EXPECT_GT(rep.degraded_seconds, rep.productive_seconds);
+}
+
+TEST(TrainRunSim, FlapsPriceACapacityLikeADisplacedRank)
+{
+    // A flap at 1/7 of the link and a rank displaced over the 7x
+    // oversubscribed spine price the same capacity alike. Every step a
+    // flap overlaps pays the displacement slowdown's extra time, so the
+    // degraded time is a whole number of such steps.
+    const TrainRunConfig cfg = flapOnlyConfig(1.0 / 7.0);
+    ASSERT_EQ(cfg.job.cluster.spine_oversubscription, 7.0);
+    const JobPricing pricing(cfg.job);
+    const double extra_per_step = (pricing.displacementSlowdown() - 1.0) *
+                                  pricing.baseStep().step_seconds;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    ASSERT_GT(rep.faults.link_flaps, 0);
+    const double steps = rep.degraded_seconds / extra_per_step;
+    EXPECT_GE(steps, 1.0);
+    EXPECT_NEAR(steps, std::round(steps), 1e-6);
 }
 
 TEST(TrainRunSim, FaultFreeSyncRunTakesTwoEventsPerInterval)
@@ -2045,6 +2278,31 @@ TEST(TrainRunSimDeathTest, SharedJobConstructorRejectsADifferentJob)
     TrainRunConfig other = wornFleetConfig();
     other.job.seq = 4096;
     EXPECT_DEATH(TrainRunSim(other, job), "same job");
+}
+
+TEST(TrainRunSimDeathTest, RejectsLinkCapacitiesTheClockCannotPrice)
+{
+    // A 1-second transfer stretched to 1/capacity seconds must fit the
+    // nanosecond clock: a flap at 1e-10 of the link and a spine at 1e7x
+    // oversubscription both abort instead of overflowing it.
+    TrainRunConfig flaps = baseConfig();
+    disableAllFaults(flaps);
+    flaps.job.cluster.node.nic_flap_mtbf_hours = 1000.0;
+    flaps.faults.flap_capacity_lo = 1e-10;
+    flaps.faults.flap_capacity_hi = 1e-10;
+    EXPECT_DEATH((void)TrainRunSim(flaps).run(),
+                 "link capacity factor must be in");
+    TrainJobConfig job;
+    job.cluster.spine_oversubscription = 1e7;
+    EXPECT_DEATH(JobPricing{job}, "link capacity factor must be in");
+}
+
+TEST(TrainRunSimDeathTest, RejectsSpinesJustPastTheLowestPricedCapacity)
+{
+    // 1e6x oversubscription is priced; a hair more is not.
+    TrainJobConfig job;
+    job.cluster.spine_oversubscription = 1.000001e6;
+    EXPECT_DEATH(JobPricing{job}, "link capacity factor must be in");
 }
 
 TEST(TrainRunSimDeathTest, RejectsBadConfigs)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "llm4d/fault/recovery_policy.h"
+#include "llm4d/fsdp/fsdp.h"
 
 namespace llm4d {
 namespace {
@@ -137,6 +138,35 @@ TEST(TrainSim, AfabVsFlexibleTradeoff)
     // Both must be sane; AFAB hides P2P better but pays ZeRO-2 exposure.
     EXPECT_GT(ra.tflops_per_gpu, rf.tflops_per_gpu * 0.8);
     EXPECT_LT(ra.tflops_per_gpu, rf.tflops_per_gpu * 1.2);
+}
+
+TEST(TrainSim, Zero2ExposesAShareOfEachReduceScatterRoundAfterTheFirst)
+{
+    // ZeRO-2 reduce-scatters every stage once per consecutive round of
+    // nc micro-batches. One round costs what ZeRO-1's single
+    // reduce-scatter costs; each further round exposes the same extra
+    // slice of the step (Section 3.1.3).
+    auto exposedFsdp = [](ZeroMode zero, std::int64_t rounds) {
+        TrainJobConfig cfg = production8k();
+        cfg.zero = zero;
+        cfg.nc = 16;
+        cfg.global_batch_tokens *= rounds; // 16 micro-batches a round
+        return TrainSim(cfg).run().exposed_fsdp_seconds;
+    };
+    const double zero1 = exposedFsdp(ZeroMode::Zero1, 1);
+    const double one = exposedFsdp(ZeroMode::Zero2, 1);
+    const double two = exposedFsdp(ZeroMode::Zero2, 2);
+    const double three = exposedFsdp(ZeroMode::Zero2, 3);
+    EXPECT_GT(zero1, 0.0);
+    EXPECT_EQ(one, zero1);
+    EXPECT_GT(two, one);
+    EXPECT_NEAR(three - two, two - one, 1e-12);
+    // Without the share and the v stages, one extra round is one
+    // reduce-scatter: less than ZeRO-1's all-gather plus reduce-scatter.
+    EXPECT_LT((two - one) / kZero2RsExposedShare /
+                  static_cast<double>(TrainSim(production8k())
+                                          .virtualStages()),
+              zero1);
 }
 
 TEST(TrainSim, RejectsMismatchedCluster)

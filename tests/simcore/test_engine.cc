@@ -54,28 +54,6 @@ TEST(Engine, EventsMayScheduleFurtherEvents)
     EXPECT_EQ(eng.now(), 5 * kUs);
 }
 
-TEST(Engine, RunUntilStopsAtLimit)
-{
-    Engine eng;
-    int fired = 0;
-    eng.schedule(10 * kUs, [&] { ++fired; });
-    eng.schedule(20 * kUs, [&] { ++fired; });
-    eng.schedule(30 * kUs, [&] { ++fired; });
-    const Time t = eng.runUntil(20 * kUs);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(t, 20 * kUs);
-    EXPECT_FALSE(eng.idle());
-    eng.run();
-    EXPECT_EQ(fired, 3);
-}
-
-TEST(Engine, RunUntilAdvancesClockWhenIdle)
-{
-    Engine eng;
-    EXPECT_EQ(eng.runUntil(kMs), kMs);
-    EXPECT_EQ(eng.now(), kMs);
-}
-
 TEST(Engine, ZeroDelayEventRunsAtCurrentTime)
 {
     Engine eng;
@@ -85,47 +63,6 @@ TEST(Engine, ZeroDelayEventRunsAtCurrentTime)
     });
     eng.run();
     EXPECT_EQ(seen, 7 * kUs);
-}
-
-TEST(Engine, RunUntilExactLimitBoundary)
-{
-    // Events at exactly the limit execute; later ones stay queued; and
-    // simultaneous events at the limit keep FIFO scheduling order — the
-    // guarantee interrupt-style models (the fault injector) rely on.
-    Engine eng;
-    std::vector<int> order;
-    eng.schedule(10 * kUs, [&] { order.push_back(1); });
-    eng.schedule(10 * kUs, [&] { order.push_back(2); });
-    eng.schedule(10 * kUs + 1, [&] { order.push_back(3); });
-    const Time t = eng.runUntil(10 * kUs);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(t, 10 * kUs);
-    EXPECT_FALSE(eng.idle());
-}
-
-TEST(Engine, RunUntilAdvancesClockPastPendingEvents)
-{
-    // The clock always reaches the limit, even when the only pending
-    // events lie beyond it.
-    Engine eng;
-    int fired = 0;
-    eng.schedule(kMs, [&] { ++fired; });
-    EXPECT_EQ(eng.runUntil(10 * kUs), 10 * kUs);
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(eng.now(), 10 * kUs);
-}
-
-TEST(Engine, RunForAdvancesRelativeToNow)
-{
-    Engine eng;
-    std::vector<Time> seen;
-    eng.schedule(5 * kUs, [&] { seen.push_back(eng.now()); });
-    eng.schedule(25 * kUs, [&] { seen.push_back(eng.now()); });
-    EXPECT_EQ(eng.runFor(10 * kUs), 10 * kUs);
-    EXPECT_EQ(seen, (std::vector<Time>{5 * kUs}));
-    // Second leg is relative to the new now(), not to zero.
-    EXPECT_EQ(eng.runFor(20 * kUs), 30 * kUs);
-    EXPECT_EQ(seen, (std::vector<Time>{5 * kUs, 25 * kUs}));
 }
 
 TEST(Engine, CancelPreventsExecution)
@@ -192,6 +129,54 @@ TEST(Engine, InterruptPatternCancelsInFlightCompletion)
     eng.run();
     EXPECT_EQ(log, (std::vector<std::string>{"fault", "restarted"}));
     EXPECT_EQ(eng.now(), 100 * kUs);
+}
+
+TEST(Engine, RunOnAnEmptyQueueReturnsNow)
+{
+    Engine eng;
+    EXPECT_EQ(eng.run(), 0);
+    EXPECT_EQ(eng.eventsProcessed(), 0);
+    eng.schedule(3 * kUs, [] {});
+    eng.run();
+    EXPECT_EQ(eng.run(), 3 * kUs) << "a drained queue leaves the clock put";
+}
+
+TEST(Engine, RunResumesFromTheTimeItStopped)
+{
+    // Delays count from now(), so events scheduled after a run returns
+    // land after the time it stopped at, in time order.
+    Engine eng;
+    std::vector<Time> seen;
+    eng.schedule(30 * kUs, [&] { seen.push_back(eng.now()); });
+    EXPECT_EQ(eng.run(), 30 * kUs);
+    eng.schedule(5 * kUs, [&] { seen.push_back(eng.now()); });
+    eng.schedule(kUs, [&] { seen.push_back(eng.now()); });
+    EXPECT_EQ(eng.run(), 35 * kUs);
+    EXPECT_EQ(seen, (std::vector<Time>{30 * kUs, 31 * kUs, 35 * kUs}));
+}
+
+TEST(Engine, EventsProcessedAccumulatesAcrossRuns)
+{
+    Engine eng;
+    eng.schedule(kUs, [] {});
+    eng.schedule(2 * kUs, [] {});
+    eng.run();
+    const EventId cancelled = eng.schedule(kUs, [] {});
+    eng.schedule(kUs, [] {});
+    EXPECT_TRUE(eng.cancel(cancelled));
+    eng.run();
+    EXPECT_EQ(eng.eventsProcessed(), 3);
+}
+
+TEST(TimeConversions, SecondsRoundToTheNearestNanosecond)
+{
+    EXPECT_EQ(secondsToTime(1.4e-9), 1);
+    EXPECT_EQ(secondsToTime(1.6e-9), 2);
+    EXPECT_EQ(secondsToTime(0.0), 0);
+    // The longest transfer a link price stretches to (1 s at 1e-6 of
+    // the link) fits the clock exactly.
+    EXPECT_EQ(secondsToTime(1e6), 1000000 * kSec);
+    EXPECT_DOUBLE_EQ(timeToSeconds(secondsToTime(1e6)), 1e6);
 }
 
 TEST(TimeConversions, RoundTrip)
