@@ -1,8 +1,10 @@
 #include "llm4d/debug/slow_rank.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
+#include "llm4d/debug/trace.h"
 #include "llm4d/simcore/common.h"
 
 namespace llm4d {
@@ -19,78 +21,108 @@ SlowRankReport::render() const
     return os.str();
 }
 
+namespace {
+
+/** Which end of a level's scores holds the culprit's coordinate. */
+enum class Culprit
+{
+    Highest, ///< the last of tied highest scores
+    Lowest,  ///< the first of tied lowest scores
+};
+
+/**
+ * The Section 6.1 walk both localizers run. At each level, outermost
+ * (most synchronized last) first, the ranks left are grouped by their
+ * coordinate on the level's axis, @p score rates each group from its
+ * members, and the culprit's group is kept. One rank is left at the end;
+ * @p compute gives its compute time and the median.
+ */
+template <typename Score>
+SlowRankReport
+walk(const RankGrid &grid, std::vector<double> compute, Culprit culprit,
+     Score score)
+{
+    struct Level
+    {
+        const char *axis;
+        std::int64_t extent;
+        std::int64_t RankCoord::*coord;
+    };
+    const ParallelismConfig &cfg = grid.config();
+    const Level levels[] = {{"dp", cfg.dp, &RankCoord::dp},
+                            {"pp", cfg.pp, &RankCoord::pp},
+                            {"cp", cfg.cp, &RankCoord::cp},
+                            {"tp", cfg.tp, &RankCoord::tp}};
+
+    SlowRankReport report;
+    std::vector<std::int64_t> ranks(static_cast<std::size_t>(grid.worldSize()));
+    std::iota(ranks.begin(), ranks.end(), std::int64_t{0});
+    for (const Level &level : levels) {
+        std::vector<std::vector<std::int64_t>> groups(
+            static_cast<std::size_t>(level.extent));
+        for (const std::int64_t r : ranks)
+            groups[static_cast<std::size_t>(grid.coordOf(r).*level.coord)]
+                .push_back(r);
+        std::vector<double> scores;
+        scores.reserve(groups.size());
+        for (const std::vector<std::int64_t> &members : groups)
+            scores.push_back(score(level.axis, members));
+        const auto [lo, hi] =
+            std::minmax_element(scores.begin(), scores.end());
+        const auto chosen = static_cast<std::int64_t>(
+            (culprit == Culprit::Lowest ? lo : hi) - scores.begin());
+        report.steps.push_back(SlowRankStep{level.axis, chosen, *hi - *lo});
+        ranks = std::move(groups[static_cast<std::size_t>(chosen)]);
+    }
+
+    report.rank = ranks.front();
+    report.compute_seconds = compute[static_cast<std::size_t>(report.rank)];
+    std::nth_element(compute.begin(), compute.begin() + compute.size() / 2,
+                     compute.end());
+    report.median_compute_seconds = compute[compute.size() / 2];
+    return report;
+}
+
+} // namespace
+
 SlowRankReport
 findSlowRank(const RankGrid &grid, const std::vector<double> &compute)
 {
     LLM4D_CHECK(static_cast<std::int64_t>(compute.size()) ==
                     grid.worldSize(),
                 "need one compute time per rank");
-    const ParallelismConfig &cfg = grid.config();
+    // The group hosting the culprit shows the least collective wait,
+    // i.e. the most compute: a group scores its slowest member's.
+    return walk(grid, compute, Culprit::Highest,
+                [&](const char *, const std::vector<std::int64_t> &members) {
+                    double slowest = 0.0;
+                    for (const std::int64_t r : members)
+                        slowest = std::max(
+                            slowest, compute[static_cast<std::size_t>(r)]);
+                    return slowest;
+                });
+}
 
-    SlowRankReport report;
-    // Fixed coordinates as the narrowing proceeds (-1 = still free).
-    std::int64_t fix_dp = -1, fix_pp = -1, fix_cp = -1, fix_tp = -1;
-
-    struct Axis
-    {
-        const char *name;
-        std::int64_t extent;
-        std::int64_t *fixed;
-    };
-    // Outermost (most synchronized last) to innermost, per Section 6.1.
-    Axis axes[] = {{"dp", cfg.dp, &fix_dp},
-                   {"pp", cfg.pp, &fix_pp},
-                   {"cp", cfg.cp, &fix_cp},
-                   {"tp", cfg.tp, &fix_tp}};
-
-    auto matches = [&](std::int64_t rank) {
-        const RankCoord c = grid.coordOf(rank);
-        return (fix_dp < 0 || c.dp == fix_dp) &&
-               (fix_pp < 0 || c.pp == fix_pp) &&
-               (fix_cp < 0 || c.cp == fix_cp) &&
-               (fix_tp < 0 || c.tp == fix_tp);
-    };
-
-    for (const Axis &axis : axes) {
-        // For each coordinate along this axis, the candidate group's
-        // "slowness" is the largest compute time among its members —
-        // the group hosting the culprit shows the least collective wait,
-        // i.e. the most compute.
-        std::vector<double> slowness(static_cast<std::size_t>(axis.extent),
-                                     0.0);
-        for (std::int64_t r = 0; r < grid.worldSize(); ++r) {
-            if (!matches(r))
-                continue;
-            const RankCoord c = grid.coordOf(r);
-            std::int64_t coord = 0;
-            if (axis.fixed == &fix_dp)
-                coord = c.dp;
-            else if (axis.fixed == &fix_pp)
-                coord = c.pp;
-            else if (axis.fixed == &fix_cp)
-                coord = c.cp;
-            else
-                coord = c.tp;
-            auto &s = slowness[static_cast<std::size_t>(coord)];
-            s = std::max(s, compute[static_cast<std::size_t>(r)]);
-        }
-        const auto [lo, hi] =
-            std::minmax_element(slowness.begin(), slowness.end());
-        const auto chosen =
-            static_cast<std::int64_t>(hi - slowness.begin());
-        *axis.fixed = chosen;
-        report.steps.push_back(SlowRankStep{axis.name, chosen, *hi - *lo});
-    }
-
-    report.rank =
-        grid.rankOf(RankCoord{fix_tp, fix_cp, fix_pp, fix_dp});
-    report.compute_seconds =
-        compute[static_cast<std::size_t>(report.rank)];
-    std::vector<double> sorted = compute;
-    std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
-                     sorted.end());
-    report.median_compute_seconds = sorted[sorted.size() / 2];
-    return report;
+SlowRankReport
+findSlowRankFromTrace(const RankGrid &grid, const ClusterTrace &trace)
+{
+    LLM4D_CHECK(trace.worldSize() == grid.worldSize(),
+                "trace does not cover the grid");
+    std::vector<double> compute(static_cast<std::size_t>(grid.worldSize()));
+    for (std::int64_t r = 0; r < grid.worldSize(); ++r)
+        compute[static_cast<std::size_t>(r)] =
+            trace.rank(r).computeSeconds();
+    // The culprit's ranks are waited for, so they show the least
+    // collective time on the level's axis: a group scores its ranks'
+    // mean.
+    return walk(grid, std::move(compute), Culprit::Lowest,
+                [&](const char *axis,
+                    const std::vector<std::int64_t> &members) {
+                    double wait = 0.0;
+                    for (const std::int64_t r : members)
+                        wait += trace.rank(r).collectiveSeconds(axis);
+                    return wait / static_cast<double>(members.size());
+                });
 }
 
 } // namespace llm4d

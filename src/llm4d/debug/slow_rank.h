@@ -49,6 +49,9 @@ struct SlowRankReport
  * @param compute  per-global-rank compute seconds for one step; ranks
  *                 that wait have low compute+high wait, the culprit the
  *                 reverse.
+ *
+ * At each level the coordinate whose slowest member computes longest is
+ * picked, the highest such coordinate on a tie.
  */
 SlowRankReport findSlowRank(const RankGrid &grid,
                             const std::vector<double> &compute);

@@ -152,82 +152,4 @@ ClusterTrace::renderGroup(const std::vector<std::int64_t> &group,
     return os.str();
 }
 
-SlowRankReport
-findSlowRankFromTrace(const RankGrid &grid, const ClusterTrace &trace)
-{
-    LLM4D_CHECK(trace.worldSize() == grid.worldSize(),
-                "trace does not cover the grid");
-    const ParallelismConfig &cfg = grid.config();
-
-    SlowRankReport report;
-    std::int64_t fix_dp = -1, fix_pp = -1, fix_cp = -1, fix_tp = -1;
-
-    struct Axis
-    {
-        const char *name;
-        std::int64_t extent;
-        std::int64_t *fixed;
-    };
-    Axis axes[] = {{"dp", cfg.dp, &fix_dp},
-                   {"pp", cfg.pp, &fix_pp},
-                   {"cp", cfg.cp, &fix_cp},
-                   {"tp", cfg.tp, &fix_tp}};
-
-    auto matches = [&](std::int64_t rank) {
-        const RankCoord c = grid.coordOf(rank);
-        return (fix_dp < 0 || c.dp == fix_dp) &&
-               (fix_pp < 0 || c.pp == fix_pp) &&
-               (fix_cp < 0 || c.cp == fix_cp) &&
-               (fix_tp < 0 || c.tp == fix_tp);
-    };
-
-    for (const Axis &axis : axes) {
-        if (axis.extent == 1) {
-            *axis.fixed = 0;
-            report.steps.push_back(SlowRankStep{axis.name, 0, 0.0});
-            continue;
-        }
-        // Mean collective time at this axis per coordinate; the culprit's
-        // coordinate shows the least (its ranks are waited for).
-        std::vector<double> wait(static_cast<std::size_t>(axis.extent),
-                                 0.0);
-        std::vector<std::int64_t> count(
-            static_cast<std::size_t>(axis.extent), 0);
-        for (std::int64_t r = 0; r < grid.worldSize(); ++r) {
-            if (!matches(r))
-                continue;
-            const RankCoord c = grid.coordOf(r);
-            std::int64_t coord = 0;
-            if (axis.fixed == &fix_dp)
-                coord = c.dp;
-            else if (axis.fixed == &fix_pp)
-                coord = c.pp;
-            else if (axis.fixed == &fix_cp)
-                coord = c.cp;
-            else
-                coord = c.tp;
-            wait[static_cast<std::size_t>(coord)] +=
-                trace.rank(r).collectiveSeconds(axis.name);
-            ++count[static_cast<std::size_t>(coord)];
-        }
-        for (std::size_t v = 0; v < wait.size(); ++v)
-            wait[v] /= std::max<std::int64_t>(1, count[v]);
-        const auto [lo, hi] = std::minmax_element(wait.begin(), wait.end());
-        const auto chosen = static_cast<std::int64_t>(lo - wait.begin());
-        *axis.fixed = chosen;
-        report.steps.push_back(SlowRankStep{axis.name, chosen, *hi - *lo});
-    }
-
-    report.rank = grid.rankOf(RankCoord{fix_tp, fix_cp, fix_pp, fix_dp});
-    std::vector<double> compute(static_cast<std::size_t>(grid.worldSize()));
-    for (std::int64_t r = 0; r < grid.worldSize(); ++r)
-        compute[static_cast<std::size_t>(r)] =
-            trace.rank(r).computeSeconds();
-    report.compute_seconds = compute[static_cast<std::size_t>(report.rank)];
-    std::nth_element(compute.begin(), compute.begin() + compute.size() / 2,
-                     compute.end());
-    report.median_compute_seconds = compute[compute.size() / 2];
-    return report;
-}
-
 } // namespace llm4d

@@ -105,8 +105,9 @@ class ClusterTrace
 /**
  * Top-down slow-rank localization from collective traces: walk
  * [dp, pp, cp, tp]; at each level pick the coordinate whose ranks show
- * the *least* collective time at that axis (they are waited for, they do
- * not wait).
+ * the *least* mean collective time at that axis (they are waited for,
+ * they do not wait), the lowest such coordinate on a tie. It runs
+ * findSlowRank's walk (slow_rank.cc) with that score.
  */
 SlowRankReport findSlowRankFromTrace(const RankGrid &grid,
                                      const ClusterTrace &trace);

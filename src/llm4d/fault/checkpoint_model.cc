@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "llm4d/model/memory_model.h"
 #include "llm4d/net/collective.h"
 #include "llm4d/net/topology.h"
 #include "llm4d/simcore/common.h"
@@ -9,9 +10,6 @@
 namespace llm4d {
 
 namespace {
-
-/** FP32 master weights + two Adam moments. */
-constexpr double kCheckpointBytesPerParam = 12.0;
 
 constexpr double kGB = 1e9;
 
@@ -90,6 +88,12 @@ CheckpointStorage::validate() const
     hier.validate();
 }
 
+bool
+hasDpPeer(const ParallelismConfig &par)
+{
+    return par.dp * par.cp > 1;
+}
+
 CheckpointModel::CheckpointModel(const ModelConfig &model,
                                  const ClusterSpec &cluster,
                                  const ParallelismConfig &par,
@@ -101,17 +105,17 @@ CheckpointModel::CheckpointModel(const ModelConfig &model,
     LLM4D_CHECK(par_.worldSize() == cluster_.numGpus(),
                 "parallelism " << par_.str() << " does not match cluster of "
                                << cluster_.numGpus() << " GPUs");
-    LLM4D_CHECK(!storage_.hier.enabled || par_.dp * par_.cp > 1,
+    LLM4D_CHECK(!storage_.hier.enabled || hasDpPeer(par_),
                 "hierarchical HBM peer mirroring needs a DP peer "
                 "(dp * cp > 1)");
     // Rematerializing BF16 weights on load: all-gather each rank's
-    // parameter shard over its FSDP (dp*cp) group.
-    if (par_.dp * par_.cp > 1) {
+    // parameter shard over its FSDP (dp*cp) group, the rank's DP peers.
+    if (hasDpPeer(par_)) {
         const Topology topo(cluster_);
         const CollectiveModel coll(topo);
         const RankGrid grid(par_);
         const double bf16_params_per_mp_rank =
-            2.0 * static_cast<double>(model_.totalParams()) /
+            kBf16Bytes * static_cast<double>(model_.totalParams()) /
             static_cast<double>(par_.modelParallelSize());
         const auto shard_bytes = static_cast<std::int64_t>(
             bf16_params_per_mp_rank /
@@ -139,7 +143,7 @@ CheckpointModel::CheckpointModel(const ModelConfig &model,
 double
 CheckpointModel::totalBytes() const
 {
-    return kCheckpointBytesPerParam *
+    return kOptimizerBytesPerParam *
            static_cast<double>(model_.totalParams());
 }
 

@@ -141,6 +141,13 @@ struct CheckpointStorage
     void validate() const;
 };
 
+/**
+ * Whether every rank of @p par has a DP peer: another rank holding the
+ * same model shard (dp * cp > 1). The hierarchical tiers mirror each
+ * rank's checkpoint shard into a DP peer's HBM, so they need one.
+ */
+[[nodiscard]] bool hasDpPeer(const ParallelismConfig &par);
+
 /** Prices sharded checkpoint save/load for one job. */
 class CheckpointModel
 {

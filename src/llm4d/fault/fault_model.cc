@@ -119,6 +119,9 @@ FaultTuning::validate() const
                 "flap capacity range must satisfy 0 < lo <= hi <= 1");
     LLM4D_CHECK(flap_duration_mean_s > 0.0,
                 "flap duration mean must be positive");
+    LLM4D_CHECK(flap_capacity_lo >= kMinLinkCapacity,
+                "flap link capacity factor must be in ["
+                    << kMinLinkCapacity << ", 1], got " << flap_capacity_lo);
     colocation.validate();
 }
 

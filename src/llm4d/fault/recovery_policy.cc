@@ -2,20 +2,12 @@
 
 #include <algorithm>
 
+#include "llm4d/model/memory_model.h"
 #include "llm4d/net/collective.h"
 #include "llm4d/net/topology.h"
 #include "llm4d/simcore/common.h"
 
 namespace llm4d {
-
-namespace {
-
-constexpr double kBf16Bytes = 2.0;
-
-/** ZeRO-1 checkpoint state: FP32 master weights + two Adam moments. */
-constexpr double kOptimBytesPerParam = 12.0;
-
-} // namespace
 
 const char *
 toString(RecoveryMode mode)
@@ -232,7 +224,13 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
                                      CheckpointStorage storage,
                                      RecoveryPolicy policy)
     : model_(model), cluster_(cluster), par_(par), storage_(storage),
-      policy_(policy)
+      policy_(policy),
+      bf16_bytes_per_mp_rank_(kBf16Bytes *
+                              static_cast<double>(model_.totalParams()) /
+                              static_cast<double>(par_.modelParallelSize())),
+      state_bytes_per_mp_rank_(kOptimizerBytesPerParam *
+                               static_cast<double>(model_.totalParams()) /
+                               static_cast<double>(par_.modelParallelSize()))
 {
     policy_.validate(cluster_);
     const CheckpointModel ckpt(model_, cluster_, par_, storage_);
@@ -248,11 +246,8 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
         const CollectiveModel coll(topo);
         const RankGrid grid(par_);
         const std::int64_t group = par_.dp * par_.cp;
-        const double bf16_bytes_per_mp_rank =
-            kBf16Bytes * static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par_.modelParallelSize());
         const auto peer_shard = static_cast<std::int64_t>(
-            bf16_bytes_per_mp_rank / static_cast<double>(group));
+            bf16_bytes_per_mp_rank_ / static_cast<double>(group));
         weights_fetch_seconds_ = coll.gatherTo(grid.dpCpSpan(0), peer_shard);
         // Cross-pod spare: the same gather, but every byte funnels into
         // the replacement through the oversubscribed spine.
@@ -261,12 +256,8 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
         // Homecoming of a displaced rank: it lands on a repaired host in
         // its own pod and re-gathers its full FSDP state (BF16 weights +
         // its ZeRO shard) pod-locally, like a regrow fetch at full width.
-        const double group_state_bytes =
-            kOptimBytesPerParam *
-            static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par_.modelParallelSize());
         const auto home_bytes = static_cast<std::int64_t>(
-            (bf16_bytes_per_mp_rank + group_state_bytes) /
+            (bf16_bytes_per_mp_rank_ + state_bytes_per_mp_rank_) /
             static_cast<double>(group));
         migrate_home_gather_seconds_ =
             coll.gatherToAtLevel(NetLevel::Pod, group, home_bytes);
@@ -339,15 +330,12 @@ RecoveryCostModel::priceShrink(const RecoveryCostRequest &req) const
         const Topology topo(cluster);
         const CollectiveModel coll(topo);
         const RankGrid grid(par);
-        const double group_state_bytes =
-            kOptimBytesPerParam *
-            static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par.modelParallelSize());
         const double old_members =
             static_cast<double>((to_dp + 1) * par.cp);
         const double new_members = static_cast<double>(to_dp * par.cp);
         const auto delta_bytes = static_cast<std::int64_t>(
-            group_state_bytes * (1.0 / new_members - 1.0 / old_members));
+            state_bytes_per_mp_rank_ *
+            (1.0 / new_members - 1.0 / old_members));
         cost.gather_seconds = coll.gatherTo(grid.dpCpSpan(0), delta_bytes);
     }
     return cost;
@@ -376,16 +364,10 @@ RecoveryCostModel::priceRegrow(const RecoveryCostRequest &req) const
         const Topology topo(cluster);
         const CollectiveModel coll(topo);
         const RankGrid grid(par);
-        const double bf16_bytes_per_mp_rank =
-            kBf16Bytes * static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par.modelParallelSize());
-        const double group_state_bytes =
-            kOptimBytesPerParam *
-            static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par.modelParallelSize());
         const double new_members = static_cast<double>(to_dp * par.cp);
         const auto fetch_bytes = static_cast<std::int64_t>(
-            (bf16_bytes_per_mp_rank + group_state_bytes) / new_members);
+            (bf16_bytes_per_mp_rank_ + state_bytes_per_mp_rank_) /
+            new_members);
         cost.gather_seconds = coll.gatherTo(grid.dpCpSpan(0), fetch_bytes);
     }
     return cost;

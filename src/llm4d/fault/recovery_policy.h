@@ -398,6 +398,12 @@ class RecoveryCostModel
     CheckpointStorage storage_;
     RecoveryPolicy policy_;
 
+    /** BF16 weights and optimizer state of one model-parallel rank's
+     *  share of the model, spread over its dp*cp group (the same at
+     *  every DP degree). */
+    double bf16_bytes_per_mp_rank_ = 0.0;
+    double state_bytes_per_mp_rank_ = 0.0;
+
     /** ckpt.loadSeconds() at the configured layout. */
     double swap_load_seconds_ = 0.0;
 

@@ -6,10 +6,7 @@ namespace llm4d {
 
 namespace {
 
-constexpr double kBf16Bytes = 2.0;
 constexpr double kFp32Bytes = 4.0;
-/** Adam m+v in FP32 plus FP32 master weights. */
-constexpr double kOptimBytesPerParam = 12.0;
 /** Activation residency without the Section 6.3 release optimizations. */
 constexpr double kUnoptimizedActFactor = 1.8;
 
@@ -101,7 +98,7 @@ MemoryModel::optimizerBytes(std::int64_t layers, bool has_embedding,
                             bool has_head) const
 {
     const double params = paramCount(layers, has_embedding, has_head);
-    return params / static_cast<double>(fsdpShard_) * kOptimBytesPerParam;
+    return params / static_cast<double>(fsdpShard_) * kOptimizerBytesPerParam;
 }
 
 double

@@ -20,6 +20,13 @@
 
 namespace llm4d {
 
+/** Bytes of one BF16 value: a working weight, or an activation. */
+constexpr double kBf16Bytes = 2.0;
+
+/** Optimizer state per parameter, what a checkpoint saves: FP32 master
+ *  weights plus the two FP32 Adam moments. */
+constexpr double kOptimizerBytesPerParam = 12.0;
+
 /** FSDP sharding strategy, aligned with DeepSpeed ZeRO stages. */
 enum class ZeroMode
 {

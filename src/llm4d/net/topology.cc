@@ -1,6 +1,7 @@
 #include "llm4d/net/topology.h"
 
 #include "llm4d/simcore/common.h"
+#include "llm4d/simcore/time.h"
 
 namespace llm4d {
 
@@ -39,6 +40,10 @@ Topology::Topology(const ClusterSpec &spec) : spec_(spec)
     LLM4D_CHECK(spec_.nodes_per_pod > 0, "need nodes per pod");
     LLM4D_CHECK(spec_.spine_oversubscription >= 1.0,
                 "oversubscription ratio must be >= 1");
+    LLM4D_CHECK(1.0 / spec_.spine_oversubscription >= kMinLinkCapacity,
+                "spine link capacity factor must be in ["
+                    << kMinLinkCapacity << ", 1], got 1/"
+                    << spec_.spine_oversubscription);
 }
 
 void

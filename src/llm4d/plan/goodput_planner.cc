@@ -4,6 +4,7 @@
 #include <optional>
 #include <tuple>
 
+#include "llm4d/fault/checkpoint_model.h"
 #include "llm4d/simcore/common.h"
 
 namespace llm4d {
@@ -29,6 +30,91 @@ samePlan(const PlanCandidate &a, const PlanCandidate &b)
 }
 
 /**
+ * Crosses one sweep axis into @p cells: each cell, in order, becomes one
+ * cell per option, in option order, with @p field set to the option.
+ * Crossing the axes one after another, the first outermost, gives the
+ * grid's order; the digests and best_point's tie-break depend on it.
+ */
+template <typename Cell, typename T>
+void
+cross(std::vector<Cell> &cells, const std::vector<T> &options,
+      T Cell::*field)
+{
+    LLM4D_CHECK(!options.empty(),
+                "every recovery-policy sweep axis needs at least one "
+                "point");
+    std::vector<Cell> crossed;
+    crossed.reserve(cells.size() * options.size());
+    for (const Cell &cell : cells) {
+        for (const T option : options) {
+            crossed.push_back(cell);
+            crossed.back().*field = option;
+        }
+    }
+    cells = std::move(crossed);
+}
+
+/** The policy axes crossed, before any rule drops a policy. */
+std::vector<RecoveryPolicy>
+crossPolicyAxes(const GoodputPlanInput &in)
+{
+    std::vector<RecoveryPolicy> policies(1);
+    policies[0].straggler_rebalance = in.straggler_rebalance;
+    cross(policies, in.spare_pool_options, &RecoveryPolicy::spare_hosts);
+    cross(policies, in.checkpoint_mode_options,
+          &RecoveryPolicy::checkpoint_mode);
+    cross(policies, in.dp_shrink_options, &RecoveryPolicy::allow_dp_shrink);
+    cross(policies, in.regrow_options, &RecoveryPolicy::allow_regrow);
+    cross(policies, in.partial_restart_options,
+          &RecoveryPolicy::partial_restart);
+    cross(policies, in.placement_options, &RecoveryPolicy::spare_placement);
+    for (RecoveryPolicy &p : policies) {
+        // The elastic paths (spare swap, DP shrink) need a pool or a
+        // shrink; without either the cell is the full-restart baseline.
+        const bool elastic = p.spare_hosts > 0 || p.allow_dp_shrink;
+        p.mode = elastic ? RecoveryMode::WarmSpare : RecoveryMode::FullRestart;
+        p.placement_migration = in.placement_migration && elastic;
+    }
+    return policies;
+}
+
+// The grid's rules. Each drops cells whose knob has nothing to act on,
+// or that the models would refuse to build; a cell is swept only where
+// every rule keeps it.
+
+/** Rules 1-2, the ones a policy alone decides. */
+bool
+policyApplies(const RecoveryPolicy &p)
+{
+    // 1. Regrow needs a pool to refill or a shrink to undo, and partial
+    //    restart a live recovery path: both need the elastic paths.
+    if ((p.allow_regrow || p.partial_restart) &&
+        p.mode != RecoveryMode::WarmSpare)
+        return false;
+    // 2. Spare locations matter only when there are spares to place.
+    return p.spare_placement == SparePlacementPolicy::CentralPool ||
+           p.spare_hosts > 0;
+}
+
+/** All five rules, for @p cell of a candidate laid out as @p par. */
+bool
+cellApplies(const GoodputSweepPoint &cell, const GoodputPlanInput &in,
+            const ParallelismConfig &par)
+{
+    if (!policyApplies(cell.policy))
+        return false;
+    // 3. Partial restart restores from the HBM peer tier.
+    if (cell.policy.partial_restart && cell.hier_global_every == 0)
+        return false;
+    // 4. The tiers mirror each rank's shard to a DP peer.
+    if (cell.hier_global_every > 0 && !hasDpPeer(par))
+        return false;
+    // 5. Correlation needs an enabled straggler class to correlate.
+    return !cell.straggler_correlation ||
+           in.base.cluster.node.gpu.straggler_mtbf_hours > 0.0;
+}
+
+/**
  * The earliest simulated cell of @p sweep whose run is also @p cell's:
  * same tier cadence and correlation flag (the rest of the config is the
  * candidate's), and a policy that agrees with the cell's on every knob
@@ -49,14 +135,12 @@ sharedRun(const std::vector<GoodputSweepPoint> &sweep,
     return std::nullopt;
 }
 
-/** TrainRunConfig of one {candidate, policy, tier-cadence} sweep cell.
- *  @p hier_global_every > 0 turns the hierarchical tiers on at that
- *  global cadence; 0 forces the global-only baseline regardless of the
- *  input's storage.hier.enabled. */
+/** TrainRunConfig of @p cell of candidate @p cand. A tier cadence > 0
+ *  turns the hierarchical tiers on at that global cadence; 0 forces the
+ *  global-only baseline regardless of the input's storage.hier.enabled. */
 TrainRunConfig
 cellConfig(const GoodputPlanInput &in, const PlanCandidate &cand,
-           const RecoveryPolicy &policy, std::int64_t hier_global_every,
-           bool straggler_correlation)
+           const GoodputSweepPoint &cell)
 {
     TrainRunConfig cfg;
     cfg.job.model = in.base.model;
@@ -72,20 +156,20 @@ cellConfig(const GoodputPlanInput &in, const PlanCandidate &cand,
     cfg.checkpoint_interval_steps = 0;
     cfg.checkpoint_interval_auto = true;
     cfg.faults = in.faults;
-    cfg.faults.colocation.enabled = straggler_correlation;
+    cfg.faults.colocation.enabled = cell.straggler_correlation;
     cfg.repairs = in.repairs;
     cfg.storage = in.storage;
-    cfg.storage.hier.enabled = hier_global_every > 0;
-    if (hier_global_every > 0) {
-        cfg.storage.hier.global_every = hier_global_every;
+    cfg.storage.hier.enabled = cell.hier_global_every > 0;
+    if (cell.hier_global_every > 0) {
+        cfg.storage.hier.global_every = cell.hier_global_every;
         // The NVMe cadence cannot be coarser than the global one (an
         // NVMe write rides along at every global boundary anyway).
         cfg.storage.hier.nvme_every =
-            std::min(in.storage.hier.nvme_every, hier_global_every);
+            std::min(in.storage.hier.nvme_every, cell.hier_global_every);
     }
     cfg.detection = in.detection;
     cfg.restart = in.restart;
-    cfg.policy = policy;
+    cfg.policy = cell.policy;
     cfg.seed = in.fault_seed;
     return cfg;
 }
@@ -95,55 +179,11 @@ cellConfig(const GoodputPlanInput &in, const PlanCandidate &cand,
 std::vector<RecoveryPolicy>
 GoodputPlanInput::sweepPolicies() const
 {
-    std::vector<RecoveryPolicy> out;
-    for (const std::int64_t spares : spare_pool_options) {
-        for (const CheckpointMode ckpt : checkpoint_mode_options) {
-            for (const bool shrink : dp_shrink_options) {
-                for (const bool regrow : regrow_options) {
-                    for (const bool partial : partial_restart_options) {
-                        // WarmSpare only when the elastic paths have
-                        // something to do; otherwise the plain
-                        // full-restart baseline. Regrow is one of those
-                        // paths, but it needs a pool to refill or a
-                        // shrink to undo, so regrow-on is meaningless
-                        // (and invalid) on the full-restart baseline —
-                        // skip instead of emitting a duplicate cell.
-                        // Partial restart likewise needs a live
-                        // recovery path (swap or shrink), so it only
-                        // sweeps on the elastic combinations.
-                        const bool elastic = spares > 0 || shrink;
-                        if ((regrow || partial) && !elastic)
-                            continue;
-                        for (const SparePlacementPolicy placement :
-                             placement_options) {
-                            // Spare locations only matter when there
-                            // are spares to place.
-                            if (placement !=
-                                    SparePlacementPolicy::CentralPool &&
-                                spares == 0)
-                                continue;
-                            RecoveryPolicy policy;
-                            policy.mode = elastic
-                                              ? RecoveryMode::WarmSpare
-                                              : RecoveryMode::FullRestart;
-                            policy.spare_hosts = spares;
-                            policy.spare_placement = placement;
-                            policy.placement_migration =
-                                placement_migration && elastic;
-                            policy.allow_dp_shrink = shrink;
-                            policy.allow_regrow = regrow;
-                            policy.checkpoint_mode = ckpt;
-                            policy.partial_restart = partial;
-                            policy.straggler_rebalance =
-                                straggler_rebalance;
-                            out.push_back(policy);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return out;
+    std::vector<RecoveryPolicy> policies = crossPolicyAxes(*this);
+    std::erase_if(policies, [](const RecoveryPolicy &p) {
+        return !policyApplies(p);
+    });
+    return policies;
 }
 
 void
@@ -152,16 +192,6 @@ GoodputPlanInput::validate() const
     LLM4D_CHECK(top_k > 0, "stage 2 needs at least one survivor");
     LLM4D_CHECK(horizon_steps > 0,
                 "simulation horizon must be positive");
-    LLM4D_CHECK(!spare_pool_options.empty() &&
-                    !checkpoint_mode_options.empty() &&
-                    !dp_shrink_options.empty() &&
-                    !regrow_options.empty() &&
-                    !hier_global_every_options.empty() &&
-                    !partial_restart_options.empty() &&
-                    !straggler_correlation_options.empty() &&
-                    !placement_options.empty(),
-                "every recovery-policy sweep axis needs at least one "
-                "point");
     for (const std::int64_t spares : spare_pool_options)
         LLM4D_CHECK(spares >= 0, "spare pool sizes cannot be negative");
     for (const std::int64_t n : hier_global_every_options)
@@ -180,7 +210,16 @@ std::vector<GoodputPlanCandidate>
 planGoodput(const GoodputPlanInput &in)
 {
     in.validate();
-    const std::vector<RecoveryPolicy> policies = in.sweepPolicies();
+    // The grid: the policy axes, then each cell's tier cadence and
+    // straggler correlation. Each candidate keeps the cells that
+    // cellApplies to it.
+    std::vector<GoodputSweepPoint> grid;
+    for (const RecoveryPolicy &policy : crossPolicyAxes(in))
+        grid.emplace_back().policy = policy;
+    cross(grid, in.hier_global_every_options,
+          &GoodputSweepPoint::hier_global_every);
+    cross(grid, in.straggler_correlation_options,
+          &GoodputSweepPoint::straggler_correlation);
 
     // ---- Stage 1: analytic pruning to the top-K survivors. ----
     const std::vector<PlanCandidate> plans = enumeratePlans(in.base);
@@ -219,71 +258,43 @@ planGoodput(const GoodputPlanInput &in)
     for (const PlanCandidate &cand : feasible) {
         GoodputPlanCandidate scored;
         scored.analytic = cand;
-        scored.sweep.reserve(policies.size() *
-                             in.hier_global_every_options.size() *
-                             in.straggler_correlation_options.size());
+        scored.sweep.reserve(grid.size());
         // The candidate's first simulated cell; every later one shares
         // its JobPricing (all cells run the same job).
         std::optional<TrainRunSim> first_sim;
-        for (const RecoveryPolicy &policy : policies) {
-            for (const std::int64_t hier_n : in.hier_global_every_options) {
-                // Partial restart needs the HBM peer tier; the tiers
-                // need a DP peer to mirror to. Skip the combinations
-                // the models would (rightly) refuse to build.
-                if (policy.partial_restart && hier_n == 0)
-                    continue;
-                if (hier_n > 0 && cand.par.dp * cand.par.cp < 2)
-                    continue;
-                for (const bool corr : in.straggler_correlation_options) {
-                    // Correlation needs an enabled straggler class to
-                    // correlate; skip rather than simulate a duplicate
-                    // of the independent cell.
-                    if (corr &&
-                        in.base.cluster.node.gpu.straggler_mtbf_hours <=
-                            0.0)
-                        continue;
-                    const TrainRunConfig cfg =
-                        cellConfig(in, cand, policy, hier_n, corr);
-                    GoodputSweepPoint pt;
-                    pt.policy = policy;
-                    pt.hier_global_every = hier_n;
-                    pt.straggler_correlation = corr;
-                    pt.reuses_cell = sharedRun(scored.sweep, pt);
-                    if (pt.reuses_cell) {
-                        // The same checks as building the cell's own
-                        // simulator; the rest of its construction
-                        // depends only on fields the run shares.
-                        cfg.validate();
-                        const GoodputSweepPoint &run =
-                            scored.sweep[*pt.reuses_cell];
-                        pt.checkpoint_interval_steps =
-                            run.checkpoint_interval_steps;
-                        pt.report = run.report;
-                    } else {
-                        std::optional<TrainRunSim> shared;
-                        const TrainRunSim &sim =
-                            first_sim ? shared.emplace(cfg, *first_sim)
-                                      : first_sim.emplace(cfg);
-                        pt.checkpoint_interval_steps =
-                            sim.checkpointIntervalSteps();
-                        pt.report = sim.run();
-                    }
-                    // Idle spares are provisioned capacity: they park
-                    // whole hosts next to the job, so the per-GPU
-                    // goodput the cluster owner sees is diluted by the
-                    // pool.
-                    const double world =
-                        static_cast<double>(cand.par.worldSize());
-                    const double provisioned =
-                        world + static_cast<double>(
-                                    policy.spare_hosts *
-                                    in.base.cluster.node.gpus_per_node);
-                    pt.goodput_tflops_per_gpu =
-                        pt.report.goodput_tflops_per_gpu * world /
-                        provisioned;
-                    scored.sweep.push_back(std::move(pt));
-                }
+        for (const GoodputSweepPoint &cell : grid) {
+            if (!cellApplies(cell, in, cand.par))
+                continue;
+            GoodputSweepPoint pt = cell;
+            const TrainRunConfig cfg = cellConfig(in, cand, pt);
+            pt.reuses_cell = sharedRun(scored.sweep, pt);
+            if (pt.reuses_cell) {
+                // The same checks as building the cell's own simulator;
+                // the rest of its construction depends only on fields
+                // the run shares.
+                cfg.validate();
+                const GoodputSweepPoint &run = scored.sweep[*pt.reuses_cell];
+                pt.checkpoint_interval_steps = run.checkpoint_interval_steps;
+                pt.report = run.report;
+            } else {
+                std::optional<TrainRunSim> shared;
+                const TrainRunSim &sim = first_sim
+                                             ? shared.emplace(cfg, *first_sim)
+                                             : first_sim.emplace(cfg);
+                pt.checkpoint_interval_steps = sim.checkpointIntervalSteps();
+                pt.report = sim.run();
             }
+            // Idle spares are provisioned capacity: they park whole hosts
+            // next to the job, so the per-GPU goodput the cluster owner
+            // sees is diluted by the pool.
+            const double world = static_cast<double>(cand.par.worldSize());
+            const double provisioned =
+                world + static_cast<double>(
+                            pt.policy.spare_hosts *
+                            in.base.cluster.node.gpus_per_node);
+            pt.goodput_tflops_per_gpu =
+                pt.report.goodput_tflops_per_gpu * world / provisioned;
+            scored.sweep.push_back(std::move(pt));
         }
         // A candidate with no simulable cell (e.g. dp*cp == 1 under a
         // tiers-only axis) cannot be ranked — drop it rather than

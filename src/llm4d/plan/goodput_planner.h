@@ -90,7 +90,13 @@ struct GoodputPlanInput
     /** Full-restart re-init and warmup costs. */
     RestartConfig restart;
 
-    // ---- Recovery-policy sweep axes (cross product). ----
+    // ---- Recovery-policy sweep axes. ----
+    // The grid crosses them in the order declared here, the first
+    // outermost and each in its option order: the six policy axes, then
+    // each cell's tier cadence and straggler correlation. It then drops
+    // the cells its five rules (goodput_planner.cc, cellApplies) do not
+    // apply to: a knob swept where it has nothing to act on, or a cell
+    // the models would refuse to build. Each axis names its rules.
 
     /** Warm-spare pool sizes, in hosts. Spares shrink MTTR (a ~80 s
      *  swap instead of a 180 s scheduler round-trip) but idle capacity
@@ -106,47 +112,32 @@ struct GoodputPlanInput
 
     /**
      * Whether to re-admit repaired hosts at checkpoint boundaries
-     * (refill the spare pool, regrow a shrunk DP dimension).
-     * Regrow-on is skipped for combinations where it has nothing to do
-     * (no spares and no shrinking: the full-restart baseline), so the
-     * grid is not a plain cross product on this axis.
+     * (refill the spare pool, regrow a shrunk DP dimension). Rule 1.
      */
     std::vector<bool> regrow_options = {false, true};
+
+    /** Partial-restart on/off axis (RecoveryPolicy::partial_restart).
+     *  Rules 1 and 3. */
+    std::vector<bool> partial_restart_options = {false, true};
+
+    /** Spare-placement axis (fault/spare_placement.h): where the warm
+     *  spares physically live. Rule 2. */
+    std::vector<SparePlacementPolicy> placement_options = {
+        SparePlacementPolicy::CentralPool};
 
     /**
      * Hierarchical checkpoint-tier cadence axis: a global (PFS)
      * checkpoint every Nth boundary with HBM peer mirrors at every
      * boundary in between (CheckpointStorage::hier). 0 disables the
-     * tiers (the global-only baseline). Tiered cells are skipped for
-     * candidates without a DP peer (dp * cp < 2: no one to mirror to).
+     * tiers (the global-only baseline). Rules 3 and 4.
      */
     std::vector<std::int64_t> hier_global_every_options = {0, 16};
-
-    /**
-     * Partial-restart on/off axis (RecoveryPolicy::partial_restart).
-     * Partial-on is skipped on the full-restart baseline (it needs a
-     * live recovery path) and in global-only cells (it needs the HBM
-     * peer tier), so the grid is not a plain cross product here either.
-     */
-    std::vector<bool> partial_restart_options = {false, true};
-
-    /**
-     * Spare-placement axis (fault/spare_placement.h): where the warm
-     * spares physically live. Non-central placements are skipped on
-     * cells with an empty pool (no spares to place). The CentralPool
-     * default keeps the legacy grid — and bit-identical rankings.
-     */
-    std::vector<SparePlacementPolicy> placement_options = {
-        SparePlacementPolicy::CentralPool};
 
     /**
      * Straggler co-location axis (FaultTuning::colocation, the pod-heat
      * model): independent Poisson straggler onsets vs pod-correlated
      * arrivals with heat-worsened severities — the planner stress-tested
-     * against worst-case co-location. Correlated cells are skipped when
-     * the straggler class is disabled (nothing to correlate). The
-     * {false} default keeps the legacy grid — and bit-identical
-     * rankings.
+     * against worst-case co-location. Rule 5.
      */
     std::vector<bool> straggler_correlation_options = {false};
 
@@ -161,12 +152,14 @@ struct GoodputPlanInput
     /** Mitigate localized stragglers by micro-batch rebalancing. */
     bool straggler_rebalance = true;
 
-    /** The sweep grid: one RecoveryPolicy per axis combination, in a
-     *  deterministic order (mode is WarmSpare whenever spares or
-     *  shrinking give it something to do). */
+    /** The policies the grid sweeps: the policy axes crossed and
+     *  filtered by the rules a policy alone decides (1-2), in grid
+     *  order. mode is WarmSpare exactly when spares or shrinking give
+     *  it something to do. */
     [[nodiscard]] std::vector<RecoveryPolicy> sweepPolicies() const;
 
-    /** Abort unless the sweep axes and stage-2 knobs are sane. */
+    /** Abort unless the axes' options and the stage-2 knobs are sane.
+     *  An empty axis aborts where the grid crosses it. */
     void validate() const;
 };
 
@@ -216,12 +209,8 @@ struct GoodputPlanCandidate
     /** The stage-1 analytic evaluation (par, zero, step estimate). */
     PlanCandidate analytic;
 
-    /** Every sweep cell: sweepPolicies() order, with one cell per
-     *  applicable hier_global_every option inside each policy, and one
-     *  per applicable straggler_correlation option inside that
-     *  (inapplicable combinations — partial restart without tiers,
-     *  tiers without a DP peer, correlation without stragglers — are
-     *  skipped). */
+    /** Every cell of the grid that applies to this candidate, in grid
+     *  order (GoodputPlanInput's axes). */
     std::vector<GoodputSweepPoint> sweep;
 
     /** Index into sweep of the best cell (highest provisioned-GPU

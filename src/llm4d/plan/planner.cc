@@ -126,7 +126,7 @@ evaluate(const PlanInput &in, const CollectiveModel &coll, std::int64_t tp,
     const std::int64_t fsdp_shard = cand.par.dp * cp;
     const RankSpan dpcp = grid.dpCpSpan(0);
     const std::int64_t layer_param_bytes = static_cast<std::int64_t>(
-        2.0 * in.model.paramsPerLayer() / static_cast<double>(tp));
+        kBf16Bytes * in.model.paramsPerLayer() / static_cast<double>(tp));
 
     double zero3_exposed_per_layer = 0.0;
     if (cand.zero == ZeroMode::Zero3 && fsdp_shard > 1) {

@@ -38,10 +38,6 @@ sameJob(const TrainRunConfig &cfg, const TrainRunSim &other)
     return other;
 }
 
-/** Lowest link capacity priced: 1/capacity seconds must fit the
- *  nanosecond clock with room to spare. */
-constexpr double kMinLinkCapacity = 1e-6;
-
 /**
  * Step-time multiplier when the NICs run at @p capacity of their rate
  * (link flaps and spine-crossing displaced ranks both price through
@@ -344,9 +340,10 @@ TrainRunSim::canShrinkTo(std::int64_t dp) const
 {
     if (dp < 1)
         return false;
-    // The HBM peer mirror needs a surviving DP peer at the shrunk
-    // layout, or the hierarchical checkpoint model is unbuildable.
-    if (cfg_.storage.hier.enabled && dp * cfg_.job.par.cp < 2)
+    // The hierarchical checkpoint model is unbuildable at a shrunk
+    // layout that leaves no DP peer to mirror to.
+    if (cfg_.storage.hier.enabled &&
+        !hasDpPeer(RecoveryCostModel::shrunkPar(cfg_.job.par, dp)))
         return false;
     const std::int64_t world =
         cfg_.job.par.worldSize() / cfg_.job.par.dp * dp;

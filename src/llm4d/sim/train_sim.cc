@@ -263,7 +263,7 @@ TrainSim::TrainSim(TrainJobConfig job)
         // behind; the last gradient reduce-scatter likewise.
         const std::int64_t max_stage_layers = assignment_.maxStageLayers();
         const std::int64_t stage_params_bytes = static_cast<std::int64_t>(
-            2.0 * static_cast<double>(max_stage_layers) *
+            kBf16Bytes * static_cast<double>(max_stage_layers) *
             cfg.model.paramsPerLayer() / cfg.par.tp);
         FsdpTraffic traffic;
         traffic.param_bytes = stage_params_bytes;
@@ -292,7 +292,8 @@ TrainSim::TrainSim(TrainJobConfig job)
         static_cast<double>(assignment_.layersOnRank(0)) *
         cfg.model.paramsPerLayer() / cfg.par.tp;
     const double optimizer_seconds = kernels.elementwiseTime(
-        static_cast<std::int64_t>(12.0 * params_per_rank / fsdp_shard));
+        static_cast<std::int64_t>(kOptimizerBytesPerParam * params_per_rank /
+                                  fsdp_shard));
 
     // ---- The report fields no PerfVariation changes. ----
     TrainStepReport &rep = invariant_report_;

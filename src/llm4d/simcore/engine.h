@@ -64,9 +64,6 @@ class Engine
     /** Number of events executed so far (cancelled events excluded). */
     std::int64_t eventsProcessed() const { return processed_; }
 
-    /** True when no live (non-cancelled) events are pending. */
-    bool idle() const { return pending_.empty(); }
-
 #if LLM4D_AUDIT_ENABLED
     /**
      * Audit-build test seam: force the clock to @p t without running

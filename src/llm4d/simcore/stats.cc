@@ -82,70 +82,4 @@ SampleSet::percentile(double p) const
     return sorted_[rank - 1];
 }
 
-void
-IntervalTracker::add(Time start, Time end)
-{
-    LLM4D_ASSERT(start <= end, "interval ends before it starts");
-    if (start == end)
-        return;
-    intervals_.emplace_back(start, end);
-    normalized_ = false;
-}
-
-void
-IntervalTracker::normalize() const
-{
-    if (normalized_)
-        return;
-    std::sort(intervals_.begin(), intervals_.end());
-    std::vector<std::pair<Time, Time>> merged;
-    for (const auto &iv : intervals_) {
-        if (!merged.empty() && iv.first <= merged.back().second)
-            merged.back().second = std::max(merged.back().second, iv.second);
-        else
-            merged.push_back(iv);
-    }
-    intervals_ = std::move(merged);
-    normalized_ = true;
-}
-
-Time
-IntervalTracker::busy() const
-{
-    normalize();
-    Time total = 0;
-    for (const auto &iv : intervals_)
-        total += iv.second - iv.first;
-    return total;
-}
-
-Time
-IntervalTracker::busyWithin(Time start, Time end) const
-{
-    normalize();
-    Time total = 0;
-    for (const auto &iv : intervals_) {
-        const Time s = std::max(start, iv.first);
-        const Time e = std::min(end, iv.second);
-        if (e > s)
-            total += e - s;
-    }
-    return total;
-}
-
-double
-IntervalTracker::utilization(Time start, Time end) const
-{
-    LLM4D_ASSERT(end > start, "empty utilization window");
-    return static_cast<double>(busyWithin(start, end)) /
-           static_cast<double>(end - start);
-}
-
-std::size_t
-IntervalTracker::intervalCount() const
-{
-    normalize();
-    return intervals_.size();
-}
-
 } // namespace llm4d

@@ -4,15 +4,12 @@
 /**
  * @file
  * Statistics accumulators used by all experiment harnesses: a streaming
- * moment accumulator (Welford), a sample set with exact percentiles, and
- * a busy-interval tracker for utilization / exposed-time accounting.
+ * moment accumulator (Welford) and a sample set with exact percentiles.
  */
 
 #include <cstdint>
 #include <limits>
 #include <vector>
-
-#include "llm4d/simcore/time.h"
 
 namespace llm4d {
 
@@ -97,36 +94,6 @@ class SampleSet
     std::vector<double> samples_;
     mutable std::vector<double> sorted_;
     mutable bool sortedValid_ = false;
-};
-
-/**
- * Tracks busy intervals on a resource; reports total busy time and
- * utilization over a window. Intervals may be added out of order and may
- * overlap (overlaps are merged).
- */
-class IntervalTracker
-{
-  public:
-    /** Record a busy interval [start, end). */
-    void add(Time start, Time end);
-
-    /** Total non-overlapped busy time. */
-    Time busy() const;
-
-    /** Busy time clipped to the window [start, end). */
-    Time busyWithin(Time start, Time end) const;
-
-    /** Utilization of the window [start, end): busy/window. */
-    double utilization(Time start, Time end) const;
-
-    /** Number of merged busy intervals. */
-    std::size_t intervalCount() const;
-
-  private:
-    void normalize() const;
-
-    mutable std::vector<std::pair<Time, Time>> intervals_;
-    mutable bool normalized_ = true;
 };
 
 } // namespace llm4d

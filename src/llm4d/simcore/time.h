@@ -31,6 +31,14 @@ secondsToTime(double s)
     return static_cast<Time>(s * 1e9 + 0.5);
 }
 
+/**
+ * Lowest link capacity factor priced: a 1-second transfer over a link
+ * at capacity c takes 1/c seconds, which must fit the nanosecond clock
+ * with room to spare. Link flaps and spine oversubscription are checked
+ * against it when they are configured.
+ */
+constexpr double kMinLinkCapacity = 1e-6;
+
 /** Convert a duration in (double) microseconds to integer nanoseconds. */
 constexpr Time
 microsToTime(double us)

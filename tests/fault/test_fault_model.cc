@@ -341,6 +341,17 @@ TEST(FaultModelDeathTest, RejectsFlapCapacitiesOutsideTheUnitInterval)
     EXPECT_DEATH(faster_link.validate(), "flap capacity range");
 }
 
+TEST(FaultModelDeathTest, RejectsFlapCapacitiesTheClockCannotPrice)
+{
+    // A flap stretches a 1-second transfer to 1/capacity seconds on the
+    // nanosecond clock. A capacity too low for the clock is rejected
+    // when the tuning is validated, not at the first flap that lands.
+    FaultTuning tuning;
+    tuning.flap_capacity_lo = 1e-10;
+    tuning.flap_capacity_hi = 1e-10;
+    EXPECT_DEATH(tuning.validate(), "link capacity factor must be in");
+}
+
 TEST(FaultModelDeathTest, RejectsBadTuning)
 {
     FaultTuning bad;

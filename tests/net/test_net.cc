@@ -260,5 +260,15 @@ TEST_F(NetTest, BroadcastRejectsNegativeSize)
                  "negative collective size");
 }
 
+TEST(TopologyDeathTest, RejectsSpinesTheClockCannotPrice)
+{
+    // A spine-crossing transfer runs at 1/oversubscription of the NIC;
+    // below the lowest link capacity the clock prices, the cluster is
+    // rejected when its topology is built, before anything is priced.
+    ClusterSpec spec = ClusterSpec::llama3Production(2048);
+    spec.spine_oversubscription = 1e7;
+    EXPECT_DEATH(Topology{spec}, "link capacity factor must be in");
+}
+
 } // namespace
 } // namespace llm4d

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ios>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 namespace llm4d {
@@ -495,6 +499,131 @@ TEST(GoodputPlanner, SmallInputSimulatesEachDistinctRunOnce)
         cells += static_cast<std::int64_t>(cand.sweep.size());
     EXPECT_EQ(cells, 56);
     EXPECT_EQ(simulatedRuns(ranked), 8);
+}
+
+/** 64-bit FNV-1a over the little-endian bytes of each value added. */
+class Fnv1a
+{
+  public:
+    void add(std::uint64_t bits)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (bits >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+    void add(bool v) { add(static_cast<std::uint64_t>(v)); }
+    template <typename E>
+        requires std::is_enum_v<E>
+    void add(E v)
+    {
+        add(static_cast<std::int64_t>(v));
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** Every cell of every ranked candidate, in sweep order: the cell's
+ *  policy, tier cadence, correlation flag, shared run, interval and
+ *  goodput bits, then the candidate's best cell and goodput. */
+std::uint64_t
+digest(const std::vector<GoodputPlanCandidate> &ranked)
+{
+    Fnv1a h;
+    for (const GoodputPlanCandidate &cand : ranked) {
+        h.add(cand.analytic.par.tp);
+        h.add(cand.analytic.par.cp);
+        h.add(cand.analytic.par.pp);
+        h.add(cand.analytic.par.dp);
+        h.add(cand.analytic.zero);
+        h.add(cand.analytic.schedule);
+        for (const GoodputSweepPoint &pt : cand.sweep) {
+            const RecoveryPolicy &p = pt.policy;
+            h.add(p.mode);
+            h.add(p.spare_hosts);
+            h.add(p.spare_placement);
+            h.add(p.placement_migration);
+            h.add(p.spare_activation_seconds);
+            h.add(p.swap_reinit_seconds);
+            h.add(p.allow_dp_shrink);
+            h.add(p.allow_regrow);
+            h.add(p.checkpoint_mode);
+            h.add(p.partial_restart);
+            h.add(p.straggler_rebalance);
+            h.add(p.rebalance_seconds);
+            h.add(p.rebalance_max_residual);
+            h.add(pt.hier_global_every);
+            h.add(pt.straggler_correlation);
+            h.add(pt.reuses_cell
+                      ? static_cast<std::int64_t>(*pt.reuses_cell)
+                      : std::int64_t{-1});
+            h.add(pt.checkpoint_interval_steps);
+            h.add(pt.report.goodput_tflops_per_gpu);
+            h.add(pt.goodput_tflops_per_gpu);
+        }
+        h.add(static_cast<std::int64_t>(cand.best_point));
+        h.add(cand.goodput_tflops_per_gpu);
+    }
+    return h.value();
+}
+
+/** Pins @p in's ranking: candidate and cell counts, and the digest. */
+void
+expectPinned(const GoodputPlanInput &in, std::size_t candidates,
+             std::size_t cells, std::uint64_t pinned)
+{
+    const std::vector<GoodputPlanCandidate> ranked = planGoodput(in);
+    std::size_t swept = 0;
+    for (const GoodputPlanCandidate &cand : ranked)
+        swept += cand.sweep.size();
+    EXPECT_EQ(ranked.size(), candidates);
+    EXPECT_EQ(swept, cells);
+    const std::uint64_t got = digest(ranked);
+    EXPECT_EQ(got, pinned) << std::hex << "digest 0x" << got
+                           << ", pinned 0x" << pinned;
+}
+
+// The grid's cells, their order and their results, pinned bit for bit:
+// ties for best_point break by sweep order, so moving one cell can move
+// a ranking without changing any cell's report.
+
+TEST(GoodputPlannerGolden, WornFullGrid)
+{
+    expectPinned(wornFullGridInput(), 1, 320, 0x14e06db137b85532ULL);
+}
+
+TEST(GoodputPlannerGolden, PlanSweepShapedQuestionAt2K)
+{
+    // plan_sweep's 2K question: 1024 tokens per GPU, the default grid
+    // and horizon.
+    GoodputPlanInput in;
+    in.base.cluster = ClusterSpec::llama3Production(2048);
+    in.base.global_batch_tokens = 2048LL * 1024;
+    expectPinned(in, 5, 200, 0x5912d78903f337fbULL);
+}
+
+TEST(GoodputPlannerGolden, CandidatesWithAndWithoutADpPeer)
+{
+    // A 70B model on 64 GPUs: tp8/pp4/dp2 candidates sweep all 40 cells
+    // of the default grid, tp8/pp8/dp1 ones only the 14 global-only
+    // cells (no DP peer to mirror a tier to). Fatal and host faults at
+    // 1/200 of the calibrated MTBF make the runs differ.
+    GoodputPlanInput in;
+    in.base.model = ModelConfig::llama3_70b();
+    in.base.cluster = ClusterSpec::llama3Production(64);
+    in.base.cluster.node.gpu.fatal_mtbf_hours /= 200.0;
+    in.base.cluster.node.host_mtbf_hours /= 200.0;
+    in.base.global_batch_tokens = 16LL * 8192;
+    in.base.tp_options = {8};
+    in.base.cp_options = {1};
+    in.base.pp_options = {4, 8};
+    in.spare_pool_options = {0, 1};
+    expectPinned(in, 4, 108, 0x4722d64b60e25f24ULL);
 }
 
 TEST(GoodputPlanner, TryBestReturnsNulloptWhenNothingFits)

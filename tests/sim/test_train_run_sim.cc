@@ -543,6 +543,36 @@ TEST(TrainRunSim, PoolExhaustionDegradesToDpShrink)
     EXPECT_EQ(rigid_rep.final_dp, cfg.job.par.dp);
 }
 
+TEST(TrainRunSim, TieredJobsRestartRatherThanShrinkPastTheirLastDpPeer)
+{
+    // tp8/pp4/dp2 over a 4-sequence batch: dp 1 keeps the batch whole
+    // (four micro-batches, one per stage), so with no spare a fatal
+    // fault shrinks to dp 1. With HBM peer mirroring on, dp 1 leaves no
+    // DP peer to mirror to, so the same faults restart instead.
+    TrainRunConfig cfg;
+    cfg.job.cluster = ClusterSpec::llama3Production(64);
+    cfg.job.par = ParallelismConfig{8, 1, 4, 2};
+    cfg.job.global_batch_tokens = 4LL * 8192;
+    disableAllFaults(cfg);
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours = 100.0;
+    cfg.total_steps = 1000;
+    cfg.checkpoint_interval_steps = 40;
+    cfg.seed = 11;
+    cfg.policy.mode = RecoveryMode::WarmSpare;
+    cfg.policy.allow_dp_shrink = true;
+    const TrainRunReport flat = TrainRunSim(cfg).run();
+    ASSERT_TRUE(flat.completed);
+    EXPECT_EQ(flat.dp_shrinks, 1);
+    EXPECT_EQ(flat.final_dp, 1);
+
+    cfg.storage.hier.enabled = true;
+    const TrainRunReport tiered = TrainRunSim(cfg).run();
+    ASSERT_TRUE(tiered.completed);
+    EXPECT_EQ(tiered.dp_shrinks, 0);
+    EXPECT_EQ(tiered.final_dp, 2);
+    EXPECT_GT(tiered.restarts, 0);
+}
+
 /** Shrink-capable 16K job: 240-sequence global batch at dp 16 gives 15
  *  micro-batches, so dp 16 -> 15 stays within one in-flight micro-batch
  *  per pipeline stage (further shrinks fail divisibility). */

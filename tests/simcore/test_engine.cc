@@ -12,7 +12,6 @@ TEST(Engine, StartsAtTimeZero)
 {
     Engine eng;
     EXPECT_EQ(eng.now(), 0);
-    EXPECT_TRUE(eng.idle());
 }
 
 TEST(Engine, ExecutesEventsInTimeOrder)
@@ -101,16 +100,6 @@ TEST(Engine, CancelAfterExecutionFails)
     const EventId id = eng.schedule(kUs, [] {});
     eng.run();
     EXPECT_FALSE(eng.cancel(id));
-}
-
-TEST(Engine, IdleAccountsForCancelledEvents)
-{
-    Engine eng;
-    const EventId id = eng.schedule(kUs, [] {});
-    EXPECT_FALSE(eng.idle());
-    EXPECT_TRUE(eng.cancel(id));
-    EXPECT_TRUE(eng.idle())
-        << "a queue holding only cancelled events is idle";
 }
 
 TEST(Engine, InterruptPatternCancelsInFlightCompletion)

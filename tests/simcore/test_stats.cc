@@ -65,49 +65,5 @@ TEST(SampleSet, PercentileUnaffectedByInsertionOrder)
     EXPECT_DOUBLE_EQ(s.percentile(0), 0.5);
 }
 
-TEST(IntervalTracker, MergesOverlaps)
-{
-    IntervalTracker t;
-    t.add(0, 10);
-    t.add(5, 15);
-    t.add(20, 30);
-    EXPECT_EQ(t.busy(), 25);
-    EXPECT_EQ(t.intervalCount(), 2u);
-}
-
-TEST(IntervalTracker, AdjacentIntervalsMerge)
-{
-    IntervalTracker t;
-    t.add(0, 10);
-    t.add(10, 20);
-    EXPECT_EQ(t.busy(), 20);
-    EXPECT_EQ(t.intervalCount(), 1u);
-}
-
-TEST(IntervalTracker, WindowClipping)
-{
-    IntervalTracker t;
-    t.add(0, 100);
-    EXPECT_EQ(t.busyWithin(50, 150), 50);
-    EXPECT_DOUBLE_EQ(t.utilization(0, 200), 0.5);
-}
-
-TEST(IntervalTracker, EmptyIntervalIgnored)
-{
-    IntervalTracker t;
-    t.add(5, 5);
-    EXPECT_EQ(t.busy(), 0);
-    EXPECT_EQ(t.intervalCount(), 0u);
-}
-
-TEST(IntervalTracker, OutOfOrderInsertion)
-{
-    IntervalTracker t;
-    t.add(50, 60);
-    t.add(0, 10);
-    t.add(55, 70);
-    EXPECT_EQ(t.busy(), 30);
-}
-
 } // namespace
 } // namespace llm4d
