@@ -96,14 +96,11 @@ correlationSweep(std::int64_t gpus, const ParallelismConfig &par,
         const TrainRunReport corr = TrainRunSim(ccfg, indep_sim).run();
         // Pod occupancy of the correlated arm's onsets: the busiest
         // pod's share of all onsets shows the clustering directly.
-        const std::int64_t gpus_per_pod =
-            icfg.job.cluster.node.gpus_per_node *
-            icfg.job.cluster.nodes_per_pod;
         std::map<std::int64_t, int> per_pod;
         int corr_onsets = 0;
         for (const FaultEvent &ev : corr.timeline)
             if (ev.kind == FaultKind::StragglerOnset) {
-                ++per_pod[ev.component / gpus_per_pod];
+                ++per_pod[icfg.job.cluster.podOf(ev.component)];
                 ++corr_onsets;
             }
         int busiest = 0;

@@ -2,7 +2,14 @@
 # One-command pre-merge gate, five tiers:
 #
 #   1. default  — -Werror build + full test suite (includes the lint
-#                 self-tests and the tree-is-lint-clean gate)
+#                 self-tests and the tree-is-lint-clean gate), then the
+#                 report gate (scripts/check_reports.sh): runs every
+#                 bench except bench_microbench, both goodput benches
+#                 again with --smoke, and every example, and diffs each
+#                 output and exit status against the copy checked in at
+#                 reports/ (about a second). A change that alters a
+#                 report on purpose regenerates reports/ with
+#                 scripts/write_reports.sh.
 #   2. lint     — llm4d_lint over src/ bench/ examples/ tests/ tools/
 #                 (determinism rules + layer-DAG / include-cycle / RNG
 #                 stream registry passes, with a per-rule summary
@@ -68,10 +75,11 @@ if [[ "${lint_only}" -eq 1 ]]; then
     exit 0
 fi
 
-echo "== tier 1: default -Werror build + full test suite =="
+echo "== tier 1: default -Werror build + full test suite + reports =="
 cmake --preset default -DLLM4D_WERROR=ON
 cmake --build --preset default -j "${jobs}"
 ctest --preset default
+./scripts/check_reports.sh build
 
 run_lint
 

@@ -29,18 +29,6 @@ toString(CheckpointTier tier)
     LLM4D_PANIC("unreachable checkpoint tier");
 }
 
-template <>
-std::optional<CheckpointTier>
-tryParse<CheckpointTier>(std::string_view text)
-{
-    for (int t = 0; t < kNumCheckpointTiers; ++t) {
-        const auto tier = static_cast<CheckpointTier>(t);
-        if (text == toString(tier))
-            return tier;
-    }
-    return std::nullopt;
-}
-
 bool
 tierSurvives(CheckpointTier tier, BlastRadius radius)
 {
@@ -175,10 +163,7 @@ CheckpointModel::drainSeconds() const
 {
     // Same filesystem bottleneck as a synchronous save — the win is
     // that steps no longer wait for it.
-    const double bytes_per_host =
-        bytesPerGpu() * static_cast<double>(cluster_.node.gpus_per_node);
-    return bytes_per_host / (storage_.write_gbps_per_host * kGB) +
-           storage_.barrier_seconds;
+    return saveSeconds();
 }
 
 double
@@ -201,11 +186,10 @@ CheckpointModel::hbmMirrorSeconds() const
 double
 CheckpointModel::hbmRestoreSeconds() const
 {
-    LLM4D_CHECK(storage_.hier.enabled,
-                "HBM tier pricing requires hier.enabled");
     // The replacement rank pulls its shard from the DP-peer mirror; the
-    // survivors' in-HBM reloads complete underneath that transfer.
-    return hbm_mirror_p2p_seconds_ + storage_.hier.hbm_barrier_seconds;
+    // survivors' in-HBM reloads complete underneath that transfer, so a
+    // restore costs what the mirror write did.
+    return hbmMirrorSeconds();
 }
 
 double
@@ -228,20 +212,6 @@ CheckpointModel::nvmeRestoreSeconds() const
         bytesPerGpu() * static_cast<double>(cluster_.node.gpus_per_node);
     return bytes_per_host / (storage_.hier.nvme_read_gbps_per_host * kGB) +
            storage_.hier.nvme_barrier_seconds + regather_seconds_;
-}
-
-double
-CheckpointModel::tierWriteSeconds(CheckpointTier tier) const
-{
-    switch (tier) {
-      case CheckpointTier::HbmPeer:
-        return hbmMirrorSeconds();
-      case CheckpointTier::HostLocal:
-        return nvmeWriteSeconds();
-      case CheckpointTier::Global:
-        return saveSeconds();
-    }
-    LLM4D_PANIC("unreachable checkpoint tier");
 }
 
 double

@@ -49,11 +49,7 @@ enum class CheckpointTier
 
 constexpr int kNumCheckpointTiers = 3;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(CheckpointTier tier);
-template <>
-[[nodiscard]] std::optional<CheckpointTier>
-tryParse<CheckpointTier>(std::string_view text);
 
 /**
  * Failure-domain query: do a tier's checkpoint copies survive a fault
@@ -208,9 +204,6 @@ class CheckpointModel
      * hier.enabled.
      */
     [[nodiscard]] double nvmeRestoreSeconds() const;
-
-    /** Write cost of one tier (Global == saveSeconds()). */
-    [[nodiscard]] double tierWriteSeconds(CheckpointTier tier) const;
 
     /** Restore cost of one tier (Global == loadSeconds()). */
     [[nodiscard]] double tierRestoreSeconds(CheckpointTier tier) const;

@@ -32,10 +32,9 @@ PodHeatModel::PodHeatModel(const ClusterSpec &cluster,
                            const ColocationTuning &tuning,
                            double base_rate_per_second, double severity_lo,
                            double severity_hi, std::uint64_t seed)
-    : tuning_(tuning), base_rate_per_second_(base_rate_per_second),
+    : cluster_(cluster), tuning_(tuning),
+      base_rate_per_second_(base_rate_per_second),
       severity_lo_(severity_lo), severity_hi_(severity_hi),
-      gpus_per_pod_(cluster.nodes_per_pod * cluster.node.gpus_per_node),
-      num_gpus_(cluster.numGpus()),
       arrival_rng_(seed, rng_streams::kPodHeatArrivalStream),
       target_rng_(seed, rng_streams::kPodHeatTargetStream),
       severity_rng_(seed, rng_streams::kPodHeatSeverityStream)
@@ -46,24 +45,9 @@ PodHeatModel::PodHeatModel(const ClusterSpec &cluster,
     LLM4D_CHECK(severity_lo_ > 0.0 && severity_hi_ < 1.0 &&
                     severity_lo_ <= severity_hi_,
                 "severity range must satisfy 0 < lo <= hi < 1");
-    const std::int64_t pods =
-        (cluster.num_nodes + cluster.nodes_per_pod - 1) /
-        cluster.nodes_per_pod;
-    heat_.assign(static_cast<std::size_t>(pods), 0.0);
-    stamp_.assign(static_cast<std::size_t>(pods), 0);
-}
-
-std::int64_t
-PodHeatModel::podOf(std::int64_t rank) const
-{
-    return rank / gpus_per_pod_;
-}
-
-std::int64_t
-PodHeatModel::podGpus(std::int64_t pod) const
-{
-    const std::int64_t first = pod * gpus_per_pod_;
-    return std::min(gpus_per_pod_, num_gpus_ - first);
+    const auto pods = static_cast<std::size_t>(cluster_.numPods());
+    heat_.assign(pods, 0.0);
+    stamp_.assign(pods, 0);
 }
 
 double
@@ -82,8 +66,9 @@ PodHeatModel::baseRatePerSecond(std::int64_t pod) const
 {
     // Each pod carries its share of the cluster-wide base rate, weighted
     // by its GPU count so a partial trailing pod is priced exactly.
-    return base_rate_per_second_ * static_cast<double>(podGpus(pod)) /
-           static_cast<double>(num_gpus_);
+    return base_rate_per_second_ *
+           static_cast<double>(cluster_.podGpus(pod)) /
+           static_cast<double>(cluster_.numGpus());
 }
 
 double
@@ -132,7 +117,8 @@ PodHeatModel::sampleOnset(Time after)
         }
     }
     const std::int64_t rank =
-        pod * gpus_per_pod_ + target_rng_.uniformInt(0, podGpus(pod) - 1);
+        pod * cluster_.gpusPerPod() +
+        target_rng_.uniformInt(0, cluster_.podGpus(pod) - 1);
     // Severity: squeeze the independent-model draw toward the worst
     // speed by the pod's heat.
     const double heat = heatOf(pod, t);

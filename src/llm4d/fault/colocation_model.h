@@ -124,19 +124,12 @@ class PodHeatModel
         return static_cast<std::int64_t>(heat_.size());
     }
 
-    /** Pod of a global GPU rank (matches Topology::podOf). */
-    [[nodiscard]] std::int64_t podOf(std::int64_t rank) const;
-
   private:
-    /** GPUs in @p pod (the last pod may be partial). */
-    [[nodiscard]] std::int64_t podGpus(std::int64_t pod) const;
-
+    ClusterSpec cluster_;
     ColocationTuning tuning_;
     double base_rate_per_second_ = 0.0;
     double severity_lo_ = 0.0;
     double severity_hi_ = 1.0;
-    std::int64_t gpus_per_pod_ = 0; ///< of a full pod
-    std::int64_t num_gpus_ = 0;
     Rng arrival_rng_;  ///< thinning: candidate gaps + accept trials
     Rng target_rng_;   ///< victim pod + rank within it
     Rng severity_rng_; ///< base severity draw (pre-squeeze)

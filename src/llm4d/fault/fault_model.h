@@ -28,7 +28,6 @@
 
 #include "llm4d/fault/colocation_model.h"
 #include "llm4d/hw/gpu_spec.h"
-#include "llm4d/simcore/enum_text.h"
 #include "llm4d/simcore/rng.h"
 #include "llm4d/simcore/time.h"
 
@@ -45,11 +44,7 @@ enum class FaultKind
 
 constexpr int kNumFaultKinds = 4;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(FaultKind kind);
-template <>
-[[nodiscard]] std::optional<FaultKind>
-tryParse<FaultKind>(std::string_view text);
 
 /**
  * Failure domain of a fault: the widest scope of *state* the fault
@@ -67,11 +62,7 @@ enum class BlastRadius
 
 constexpr int kNumBlastRadii = 3;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(BlastRadius radius);
-template <>
-[[nodiscard]] std::optional<BlastRadius>
-tryParse<BlastRadius>(std::string_view text);
 
 /** Failure-domain query: what state does a fault of this kind destroy? */
 [[nodiscard]] BlastRadius faultBlastRadius(FaultKind kind);
@@ -153,12 +144,6 @@ class FaultModel
 
     /** Next failure event, strictly ordered by time (FIFO on ties). */
     FaultEvent next();
-
-    /** Aggregate event rate over all enabled classes, events/hour. */
-    [[nodiscard]] double eventsPerHour() const;
-
-    /** Mean time between events across all classes, in seconds. */
-    [[nodiscard]] double mtbfSeconds() const;
 
     /** True when every class is disabled (the fault-free baseline). */
     [[nodiscard]] bool silent() const;

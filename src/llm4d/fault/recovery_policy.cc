@@ -21,18 +21,6 @@ toString(RecoveryMode mode)
     LLM4D_PANIC("unreachable recovery mode");
 }
 
-template <>
-std::optional<RecoveryMode>
-tryParse<RecoveryMode>(std::string_view text)
-{
-    for (int i = 0; i < kNumRecoveryModes; ++i) {
-        const auto mode = static_cast<RecoveryMode>(i);
-        if (text == toString(mode))
-            return mode;
-    }
-    return std::nullopt;
-}
-
 const char *
 toString(CheckpointMode mode)
 {
@@ -43,18 +31,6 @@ toString(CheckpointMode mode)
         return "async";
     }
     LLM4D_PANIC("unreachable checkpoint mode");
-}
-
-template <>
-std::optional<CheckpointMode>
-tryParse<CheckpointMode>(std::string_view text)
-{
-    for (int i = 0; i < kNumCheckpointModes; ++i) {
-        const auto mode = static_cast<CheckpointMode>(i);
-        if (text == toString(mode))
-            return mode;
-    }
-    return std::nullopt;
 }
 
 RecoveryPolicy
@@ -118,18 +94,6 @@ toString(PolicyKnob knob)
         return "partial-restart";
     }
     LLM4D_PANIC("unreachable policy knob");
-}
-
-template <>
-std::optional<PolicyKnob>
-tryParse<PolicyKnob>(std::string_view text)
-{
-    for (int i = 0; i < kNumPolicyKnobs; ++i) {
-        const auto knob = static_cast<PolicyKnob>(i);
-        if (text == toString(knob))
-            return knob;
-    }
-    return std::nullopt;
 }
 
 bool
@@ -406,14 +370,6 @@ RecoveryCostModel::shrunkCluster(const ClusterSpec &cluster,
     ClusterSpec shrunk = cluster;
     shrunk.num_nodes = world / cluster.node.gpus_per_node;
     return shrunk;
-}
-
-double
-RecoveryCostModel::loadSecondsAt(std::int64_t dp) const
-{
-    const ParallelismConfig par = shrunkPar(par_, dp);
-    const ClusterSpec cluster = shrunkCluster(cluster_, par);
-    return CheckpointModel(model_, cluster, par, storage_).loadSeconds();
 }
 
 } // namespace llm4d

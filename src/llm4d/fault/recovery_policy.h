@@ -33,7 +33,6 @@
 #include "llm4d/model/model_config.h"
 #include "llm4d/net/topology.h"
 #include "llm4d/parallel/parallelism.h"
-#include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
 
@@ -53,11 +52,7 @@ enum class RecoveryMode
 
 constexpr int kNumRecoveryModes = 2;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(RecoveryMode mode);
-template <>
-[[nodiscard]] std::optional<RecoveryMode>
-tryParse<RecoveryMode>(std::string_view text);
 
 /** How checkpoints are taken. */
 enum class CheckpointMode
@@ -68,11 +63,7 @@ enum class CheckpointMode
 
 constexpr int kNumCheckpointModes = 2;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(CheckpointMode mode);
-template <>
-[[nodiscard]] std::optional<CheckpointMode>
-tryParse<CheckpointMode>(std::string_view text);
 
 /** Full recovery behavior of one training run. */
 struct RecoveryPolicy
@@ -153,17 +144,6 @@ struct RecoveryPolicy
     /** The full MegaScale-style mitigation stack, for studies. */
     static RecoveryPolicy elastic(std::int64_t spares);
 
-    /**
-     * True when recovery must consult spare locations: either the
-     * spares are spread over pods or cross-pod displacement is being
-     * tracked. False == the legacy location-blind model.
-     */
-    [[nodiscard]] bool placementAware() const
-    {
-        return spare_placement != SparePlacementPolicy::CentralPool ||
-               placement_migration;
-    }
-
     /** Abort unless the policy is sane for @p cluster. */
     void validate(const ClusterSpec &cluster) const;
 
@@ -185,11 +165,7 @@ enum class PolicyKnob
 
 constexpr int kNumPolicyKnobs = 7;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(PolicyKnob knob);
-template <>
-[[nodiscard]] std::optional<PolicyKnob>
-tryParse<PolicyKnob>(std::string_view text);
 
 /** The set of swept knobs one run read (its decision footprint). */
 class PolicyFootprint
@@ -246,9 +222,11 @@ class RecordedPolicy
     bool partialRestart();
 
     /**
-     * RecoveryPolicy::placementAware(), recording spare_placement and,
-     * only when a central pool leaves the answer open,
-     * placement_migration.
+     * True when recovery must consult spare locations: either the
+     * spares are spread over pods or cross-pod displacement is being
+     * tracked. False == the legacy location-blind model. Records
+     * spare_placement and, only when a central pool leaves the answer
+     * open, placement_migration.
      */
     bool placementAware();
 
@@ -366,17 +344,12 @@ class RecoveryCostModel
                       const ParallelismConfig &par,
                       CheckpointStorage storage, RecoveryPolicy policy);
 
-    [[nodiscard]] const RecoveryPolicy &policy() const { return policy_; }
-
     /**
      * Price one recovery transition. The single entry point for every
      * recovery path — see RecoveryCostRequest::Kind for the catalogue
      * and the per-field docs for which request fields each kind reads.
      */
     [[nodiscard]] CostBreakdown price(const RecoveryCostRequest &req) const;
-
-    /** Sharded restore cost at @p dp replicas (dp == par.dp: as-is). */
-    [[nodiscard]] double loadSecondsAt(std::int64_t dp) const;
 
     /** The parallelism layout after shrinking to @p dp replicas. */
     [[nodiscard]] static ParallelismConfig

@@ -18,25 +18,12 @@ toString(SparePlacementPolicy policy)
     LLM4D_PANIC("unreachable spare placement policy");
 }
 
-template <>
-std::optional<SparePlacementPolicy>
-tryParse<SparePlacementPolicy>(std::string_view text)
-{
-    for (int i = 0; i < kNumSparePlacementPolicies; ++i) {
-        const auto policy = static_cast<SparePlacementPolicy>(i);
-        if (text == toString(policy))
-            return policy;
-    }
-    return std::nullopt;
-}
-
 SparePool::SparePool(const ClusterSpec &cluster,
                      SparePlacementPolicy policy, std::int64_t spare_hosts)
-    : policy_(policy), nodes_per_pod_(cluster.nodes_per_pod),
-      num_nodes_(cluster.num_nodes), provisioned_(spare_hosts)
+    : cluster_(cluster), policy_(policy), provisioned_(spare_hosts)
 {
-    LLM4D_CHECK(nodes_per_pod_ > 0, "need nodes per pod");
-    LLM4D_CHECK(num_nodes_ > 0, "need at least one node");
+    LLM4D_CHECK(cluster_.nodes_per_pod > 0, "need nodes per pod");
+    LLM4D_CHECK(cluster_.num_nodes > 0, "need at least one node");
     LLM4D_CHECK(spare_hosts >= 0, "spare pool size cannot be negative");
     reserve_.assign(static_cast<std::size_t>(numPods()) + 1, 0);
     claims_.assign(reserve_.size(), 0);
@@ -54,17 +41,12 @@ SparePool::SparePool(const ClusterSpec &cluster,
 }
 
 std::int64_t
-SparePool::numPods() const
-{
-    return ceilDiv(num_nodes_, nodes_per_pod_);
-}
-
-std::int64_t
 SparePool::podOfHost(std::int64_t host) const
 {
-    LLM4D_ASSERT(host >= 0 && host < num_nodes_,
-                 "host " << host << " outside cluster of " << num_nodes_);
-    return host / nodes_per_pod_;
+    LLM4D_ASSERT(host >= 0 && host < cluster_.num_nodes,
+                 "host " << host << " outside cluster of "
+                         << cluster_.num_nodes);
+    return cluster_.podOf(host * cluster_.node.gpus_per_node);
 }
 
 std::int64_t

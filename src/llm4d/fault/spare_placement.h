@@ -27,7 +27,6 @@
 
 #include "llm4d/hw/gpu_spec.h"
 #include "llm4d/net/topology.h"
-#include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
 
@@ -55,11 +54,7 @@ enum class SparePlacementPolicy
 
 constexpr int kNumSparePlacementPolicies = 3;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(SparePlacementPolicy policy);
-template <>
-[[nodiscard]] std::optional<SparePlacementPolicy>
-tryParse<SparePlacementPolicy>(std::string_view text);
 
 /** Outcome of claiming the nearest spare to a failed host. */
 struct SpareClaim
@@ -89,10 +84,8 @@ class SparePool
     SparePool(const ClusterSpec &cluster, SparePlacementPolicy policy,
               std::int64_t spare_hosts);
 
-    [[nodiscard]] SparePlacementPolicy policy() const { return policy_; }
-
     /** Pods the job's hosts occupy (excludes the central spare pod). */
-    [[nodiscard]] std::int64_t numPods() const;
+    [[nodiscard]] std::int64_t numPods() const { return cluster_.numPods(); }
 
     /** Index of the virtual dedicated spare pod (== numPods()). */
     [[nodiscard]] std::int64_t centralPod() const { return numPods(); }
@@ -127,9 +120,8 @@ class SparePool
     void refill();
 
   private:
+    ClusterSpec cluster_;
     SparePlacementPolicy policy_;
-    std::int64_t nodes_per_pod_ = 1;
-    std::int64_t num_nodes_ = 1;
     std::int64_t provisioned_ = 0;
 
     /** reserve_[p] = spares parked in pod p; last slot = central pod. */

@@ -50,15 +50,6 @@ ClusterSpec::fatalFailuresPerHour() const
            classRate(num_nodes, node.host_mtbf_hours);
 }
 
-double
-ClusterSpec::clusterMtbfHours() const
-{
-    const double rate = failuresPerHour();
-    LLM4D_CHECK(rate > 0.0,
-                "cluster MTBF undefined: every failure class is disabled");
-    return 1.0 / rate;
-}
-
 ClusterSpec
 ClusterSpec::llama3Production(std::int64_t num_gpus)
 {

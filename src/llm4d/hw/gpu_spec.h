@@ -13,8 +13,11 @@
  * variant used for the CP scalability study in Section 7.2.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+
+#include "llm4d/simcore/common.h"
 
 namespace llm4d {
 
@@ -128,6 +131,27 @@ struct ClusterSpec
     /** Total number of GPUs. */
     std::int64_t numGpus() const { return num_nodes * node.gpus_per_node; }
 
+    /** GPUs in a full pod. */
+    std::int64_t gpusPerPod() const
+    {
+        return nodes_per_pod * node.gpus_per_node;
+    }
+
+    /** Pods the nodes occupy; the last one may be partial. */
+    std::int64_t numPods() const { return ceilDiv(num_nodes, nodes_per_pod); }
+
+    /** Pod of a global GPU rank. */
+    std::int64_t podOf(std::int64_t rank) const
+    {
+        return rank / gpusPerPod();
+    }
+
+    /** GPUs in @p pod: gpusPerPod(), or fewer in a partial last pod. */
+    std::int64_t podGpus(std::int64_t pod) const
+    {
+        return std::min(gpusPerPod(), numGpus() - pod * gpusPerPod());
+    }
+
     /**
      * Aggregate component failure (or degradation-onset) rate of the
      * whole cluster in events per hour, summing GPU-fatal, host-crash,
@@ -141,13 +165,6 @@ struct ClusterSpec
      * analysis, since flaps and stragglers degrade without losing work.
      */
     double fatalFailuresPerHour() const;
-
-    /**
-     * Cluster-level mean time between failure events in hours
-     * (1 / failuresPerHour). ~3 hours at 16K GPUs with default rates,
-     * matching the Llama 3 production experience.
-     */
-    double clusterMtbfHours() const;
 
     /** The 16K-GPU Llama 3 production cluster. */
     static ClusterSpec llama3Production(std::int64_t num_gpus = 16384);

@@ -26,18 +26,6 @@ toString(CollectiveKind kind)
     LLM4D_PANIC("unreachable collective kind");
 }
 
-template <>
-std::optional<CollectiveKind>
-tryParse<CollectiveKind>(std::string_view text)
-{
-    for (int i = 0; i < kNumCollectiveKinds; ++i) {
-        const auto kind = static_cast<CollectiveKind>(i);
-        if (text == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
 CollectiveModel::CollectiveModel(const Topology &topo) : topo_(&topo) {}
 
 double

@@ -31,11 +31,7 @@ enum class CollectiveKind
 
 constexpr int kNumCollectiveKinds = 6;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(CollectiveKind kind);
-template <>
-[[nodiscard]] std::optional<CollectiveKind>
-tryParse<CollectiveKind>(std::string_view text);
 
 /**
  * Cost models for collectives over a given topology. A group collective

@@ -21,18 +21,6 @@ toString(NetLevel level)
     LLM4D_PANIC("unreachable net level");
 }
 
-template <>
-std::optional<NetLevel>
-tryParse<NetLevel>(std::string_view text)
-{
-    for (int i = 0; i < kNumNetLevels; ++i) {
-        const auto level = static_cast<NetLevel>(i);
-        if (text == toString(level))
-            return level;
-    }
-    return std::nullopt;
-}
-
 Topology::Topology(const ClusterSpec &spec) : spec_(spec)
 {
     LLM4D_CHECK(spec_.node.gpus_per_node > 0, "need GPUs per node");
@@ -63,7 +51,8 @@ Topology::nodeOf(std::int64_t rank) const
 std::int64_t
 Topology::podOf(std::int64_t rank) const
 {
-    return nodeOf(rank) / spec_.nodes_per_pod;
+    checkRank(rank);
+    return spec_.podOf(rank);
 }
 
 std::int64_t

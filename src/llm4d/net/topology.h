@@ -17,7 +17,6 @@
 
 #include "llm4d/hw/gpu_spec.h"
 #include "llm4d/parallel/parallelism.h"
-#include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
 
@@ -32,10 +31,7 @@ enum class NetLevel
 
 constexpr int kNumNetLevels = 4;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
 const char *toString(NetLevel level);
-template <>
-[[nodiscard]] std::optional<NetLevel> tryParse<NetLevel>(std::string_view text);
 
 /** Maps global ranks onto the cluster hierarchy and rates links. */
 class Topology

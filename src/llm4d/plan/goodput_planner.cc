@@ -333,13 +333,4 @@ tryBestGoodputPlan(const GoodputPlanInput &in)
     return std::move(ranked.front());
 }
 
-GoodputPlanCandidate
-bestGoodputPlan(const GoodputPlanInput &in)
-{
-    std::optional<GoodputPlanCandidate> best = tryBestGoodputPlan(in);
-    LLM4D_CHECK(best.has_value(),
-                "no feasible parallelism configuration for this input");
-    return *std::move(best);
-}
-
 } // namespace llm4d

@@ -242,9 +242,6 @@ planGoodput(const GoodputPlanInput &input);
 [[nodiscard]] std::optional<GoodputPlanCandidate>
 tryBestGoodputPlan(const GoodputPlanInput &input);
 
-/** tryBestGoodputPlan that aborts (user error) when nothing fits. */
-[[nodiscard]] GoodputPlanCandidate bestGoodputPlan(const GoodputPlanInput &input);
-
 } // namespace llm4d
 
 #endif // LLM4D_PLAN_GOODPUT_PLANNER_H_

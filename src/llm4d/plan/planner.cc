@@ -288,13 +288,4 @@ tryBestPlan(const PlanInput &in)
     return tryPreferredPlan(enumeratePlans(in));
 }
 
-PlanCandidate
-bestPlan(const PlanInput &in)
-{
-    const std::optional<PlanCandidate> best = tryBestPlan(in);
-    LLM4D_CHECK(best.has_value(),
-                "no feasible parallelism configuration for this input");
-    return *best;
-}
-
 } // namespace llm4d

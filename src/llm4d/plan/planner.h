@@ -93,9 +93,6 @@ tryPreferredPlan(const std::vector<PlanCandidate> &plans);
 /** tryPreferredPlan(enumeratePlans(input)). */
 [[nodiscard]] std::optional<PlanCandidate> tryBestPlan(const PlanInput &input);
 
-/** tryBestPlan that aborts (user error) when no candidate fits. */
-[[nodiscard]] PlanCandidate bestPlan(const PlanInput &input);
-
 } // namespace llm4d
 
 #endif // LLM4D_PLAN_PLANNER_H_

@@ -183,7 +183,6 @@ TrainRunConfig::validate() const
                     restart.warmup_slowdown >= 1.0,
                 "invalid restart config");
     LLM4D_CHECK(detection.fast_fail_seconds >= 0.0 &&
-                    detection.timeout_seconds >= 0.0 &&
                     detection.straggler_analysis_seconds >= 0.0,
                 "detection latencies must be non-negative");
     LLM4D_CHECK(max_wall_days > 0.0, "max wall-clock must be positive");
@@ -1213,7 +1212,7 @@ class TrainRunSim::RunState
                               << toString(radius) << " blast radius ("
                               << toString(ev.kind) << ")");
         rollbackTo(tier);
-        beginRecovery(cfg_.detection.fatalDetectionSeconds(), tier,
+        beginRecovery(cfg_.detection.fast_fail_seconds, tier,
                       host_crash ? ev.component
                                  : topo_.nodeOf(ev.component));
     }

@@ -25,7 +25,7 @@
  *    both local tiers; partial restart lets live recovery paths roll
  *    back only to the last HBM mirror);
  *  - fatal faults (GPU / host) interrupt the in-flight step after a
- *    detection latency (fast-fail NCCL error vs. watchdog timeout), roll
+ *    detection latency (fast-fail NCCL error propagation), roll
  *    progress back to the last durable checkpoint, and recover per the
  *    configured RecoveryPolicy: swap in a warm spare host, shrink the
  *    DP dimension when the pool is dry, or fall back to the full
@@ -85,25 +85,15 @@ extern double trainrun_lost_skew_seconds;
 /** How failures are noticed (MegaScale Section 4: detection latency). */
 struct DetectionConfig
 {
-    /** Fast-fail error propagation (NCCL abort) vs. watchdog timeout. */
-    bool fast_fail = true;
-
-    /** Detection latency for fatal faults under fast-fail, seconds. */
+    /** Detection latency for fatal faults: fast-fail error propagation
+     *  (NCCL abort), seconds. */
     double fast_fail_seconds = 30.0;
-
-    /** Watchdog timeout when fast-fail is off, seconds. */
-    double timeout_seconds = 600.0;
 
     /** Trace collection + top-down localization run, once suspected. */
     double straggler_analysis_seconds = 120.0;
 
     /** Noise/confidence model feeding stragglerDetectionSteps(). */
     StragglerDetectModel straggler;
-
-    [[nodiscard]] double fatalDetectionSeconds() const
-    {
-        return fast_fail ? fast_fail_seconds : timeout_seconds;
-    }
 };
 
 /**

@@ -65,13 +65,12 @@ makeAssignment(const TrainJobConfig &cfg, std::int64_t v)
     return StageAssignment::uniform(cfg.model.num_layers, cfg.par.pp, v);
 }
 
+/** One transformer layer per virtual stage. */
 std::int64_t
 deriveVirtualStages(const TrainJobConfig &cfg)
 {
-    const std::int64_t per_rank =
-        ceilDiv(cfg.model.num_layers, cfg.par.pp);
     return std::max<std::int64_t>(
-        1, ceilDiv(per_rank, cfg.layers_per_vstage));
+        1, ceilDiv(cfg.model.num_layers, cfg.par.pp));
 }
 
 LegalSchedule

@@ -39,9 +39,6 @@ struct TrainJobConfig
     std::int64_t global_batch_tokens = 16LL * 1024 * 1024;
     std::int64_t mbs = 1; ///< sequences per micro-batch
 
-    /** Transformer layers per PP virtual stage. */
-    std::int64_t layers_per_vstage = 1;
-
     ZeroMode zero = ZeroMode::Zero1;
     ScheduleKind schedule = ScheduleKind::Flexible;
     std::int64_t nc = 0; ///< 0 = auto (min(pp, nmb))

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 namespace llm4d {
 namespace {
@@ -125,13 +127,7 @@ TEST(CheckpointModel, TierPricingIsOrderedHbmNvmeGlobal)
     EXPECT_LT(ckpt.nvmeWriteSeconds(), ckpt.saveSeconds());
     EXPECT_LT(ckpt.hbmRestoreSeconds(), ckpt.nvmeRestoreSeconds());
     EXPECT_LT(ckpt.nvmeRestoreSeconds(), ckpt.loadSeconds());
-    // The dispatch helpers agree with the per-tier methods.
-    EXPECT_DOUBLE_EQ(ckpt.tierWriteSeconds(CheckpointTier::HbmPeer),
-                     ckpt.hbmMirrorSeconds());
-    EXPECT_DOUBLE_EQ(ckpt.tierWriteSeconds(CheckpointTier::HostLocal),
-                     ckpt.nvmeWriteSeconds());
-    EXPECT_DOUBLE_EQ(ckpt.tierWriteSeconds(CheckpointTier::Global),
-                     ckpt.saveSeconds());
+    // The dispatch helper agrees with the per-tier methods.
     EXPECT_DOUBLE_EQ(ckpt.tierRestoreSeconds(CheckpointTier::HbmPeer),
                      ckpt.hbmRestoreSeconds());
     EXPECT_DOUBLE_EQ(ckpt.tierRestoreSeconds(CheckpointTier::HostLocal),
@@ -157,11 +153,10 @@ TEST(CheckpointModel, TierSurvivalMatchesFailureDomains)
     EXPECT_STREQ(toString(CheckpointTier::HbmPeer), "HbmPeer");
     EXPECT_STREQ(toString(CheckpointTier::HostLocal), "HostLocal");
     EXPECT_STREQ(toString(CheckpointTier::Global), "Global");
-    for (int t = 0; t < kNumCheckpointTiers; ++t) {
-        const auto tier = static_cast<CheckpointTier>(t);
-        EXPECT_EQ(tryParse<CheckpointTier>(toString(tier)), tier);
-    }
-    EXPECT_EQ(tryParse<CheckpointTier>("hbmpeer"), std::nullopt);
+    std::set<std::string> names;
+    for (int t = 0; t < kNumCheckpointTiers; ++t)
+        names.insert(toString(static_cast<CheckpointTier>(t)));
+    EXPECT_EQ(names.size(), static_cast<std::size_t>(kNumCheckpointTiers));
 }
 
 TEST(CheckpointModelDeathTest, TierPricingRequiresHierEnabled)

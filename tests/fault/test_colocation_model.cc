@@ -100,7 +100,7 @@ TEST(PodHeatModel, OnsetsAreOrderedAndValid)
         prev = on.when;
         EXPECT_GE(on.rank, 0);
         EXPECT_LT(on.rank, cluster.numGpus());
-        EXPECT_EQ(on.pod, model.podOf(on.rank));
+        EXPECT_EQ(on.pod, cluster.podOf(on.rank));
         EXPECT_GE(on.severity, 0.55);
         EXPECT_LT(on.severity, 0.95);
     }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "llm4d/simcore/time.h"
@@ -95,20 +97,21 @@ TEST(FaultModel, RateMatchesClusterSpec)
 {
     const ClusterSpec cluster = production16k();
     FaultModel model(cluster, FaultTuning{}, 1);
-    EXPECT_DOUBLE_EQ(model.eventsPerHour(), cluster.failuresPerHour());
     EXPECT_FALSE(model.silent());
     // Llama 3 production experience: ~3h between interruptions at 16K.
-    EXPECT_GT(cluster.clusterMtbfHours(), 1.5);
-    EXPECT_LT(cluster.clusterMtbfHours(), 5.0);
+    EXPECT_GT(1.0 / cluster.failuresPerHour(), 1.5);
+    EXPECT_LT(1.0 / cluster.failuresPerHour(), 5.0);
 }
 
 TEST(FaultModel, EmpiricalInterArrivalMatchesMtbf)
 {
-    FaultModel model(production16k(), FaultTuning{}, 11);
+    const ClusterSpec cluster = production16k();
+    FaultModel model(cluster, FaultTuning{}, 11);
     const int n = 4000;
     const auto events = drain(model, n);
     const double mean_s = timeToSeconds(events.back().when) / n;
-    EXPECT_NEAR(mean_s, model.mtbfSeconds(), 0.1 * model.mtbfSeconds());
+    const double mtbf_s = 3600.0 / cluster.failuresPerHour();
+    EXPECT_NEAR(mean_s, mtbf_s, 0.1 * mtbf_s);
 }
 
 TEST(FaultModel, DisabledClassesAreSilent)
@@ -120,7 +123,6 @@ TEST(FaultModel, DisabledClassesAreSilent)
     cluster.node.nic_flap_mtbf_hours = 0.0;
     FaultModel model(cluster, FaultTuning{}, 1);
     EXPECT_TRUE(model.silent());
-    EXPECT_DOUBLE_EQ(model.eventsPerHour(), 0.0);
 }
 
 TEST(FaultModel, SingleEnabledClassDominates)
@@ -161,14 +163,14 @@ TEST(FaultModel, KindNamesAreStable)
 
 TEST(FaultModel, KindNamesRoundTrip)
 {
-    for (int i = 0; i < kNumFaultKinds; ++i) {
-        const auto kind = static_cast<FaultKind>(i);
-        EXPECT_EQ(tryParse<FaultKind>(toString(kind)), kind);
-    }
-    for (int i = 0; i < kNumBlastRadii; ++i) {
-        const auto radius = static_cast<BlastRadius>(i);
-        EXPECT_EQ(tryParse<BlastRadius>(toString(radius)), radius);
-    }
+    std::set<std::string> kinds;
+    for (int i = 0; i < kNumFaultKinds; ++i)
+        kinds.insert(toString(static_cast<FaultKind>(i)));
+    EXPECT_EQ(kinds.size(), static_cast<std::size_t>(kNumFaultKinds));
+    std::set<std::string> radii;
+    for (int i = 0; i < kNumBlastRadii; ++i)
+        radii.insert(toString(static_cast<BlastRadius>(i)));
+    EXPECT_EQ(radii.size(), static_cast<std::size_t>(kNumBlastRadii));
 }
 
 TEST(FaultModel, BlastRadiusMatchesFailureDomains)
@@ -189,16 +191,6 @@ TEST(FaultModel, BlastRadiusMatchesFailureDomains)
     EXPECT_STREQ(toString(BlastRadius::None), "None");
     EXPECT_STREQ(toString(BlastRadius::Gpu), "Gpu");
     EXPECT_STREQ(toString(BlastRadius::Host), "Host");
-}
-
-TEST(FaultModel, UnknownKindNamesParseToNullopt)
-{
-    // tryParse replaces the old aborting faultKindFromName: misspelled
-    // CLI/config input is a recoverable condition, not a crash.
-    EXPECT_EQ(tryParse<FaultKind>("NotAFaultKind"), std::nullopt);
-    EXPECT_EQ(tryParse<FaultKind>(""), std::nullopt);
-    EXPECT_EQ(tryParse<FaultKind>("gpufatal"), std::nullopt);
-    EXPECT_EQ(tryParse<BlastRadius>("Cluster"), std::nullopt);
 }
 
 FaultTuning
@@ -286,7 +278,7 @@ TEST(FaultModel, CorrelatedStragglersStayValidAndCluster)
         EXPECT_LT(ev.component, cluster.numGpus());
         EXPECT_GE(ev.severity, tuning.straggler_speed_lo);
         EXPECT_LE(ev.severity, tuning.straggler_speed_hi);
-        pods.push_back(model.podHeat()->podOf(ev.component));
+        pods.push_back(cluster.podOf(ev.component));
     }
     ASSERT_GT(pods.size(), 200u);
     int repeats = 0;

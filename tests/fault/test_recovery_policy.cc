@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <string>
 
 namespace llm4d {
 namespace {
@@ -53,6 +55,16 @@ regrowRequest(std::int64_t to_dp)
     return req;
 }
 
+/** Sharded restore cost of the fixture's job at @p dp replicas. */
+double
+loadSecondsAt(const Fixture &f, std::int64_t dp)
+{
+    const ParallelismConfig par = RecoveryCostModel::shrunkPar(f.par, dp);
+    const ClusterSpec cluster =
+        RecoveryCostModel::shrunkCluster(f.cluster, par);
+    return CheckpointModel(f.model, cluster, par, f.storage).loadSeconds();
+}
+
 TEST(RecoveryPolicy, ElasticPresetEnablesTheFullMitigationStack)
 {
     const RecoveryPolicy policy = RecoveryPolicy::elastic(8);
@@ -67,7 +79,7 @@ TEST(RecoveryPolicy, ElasticPresetEnablesTheFullMitigationStack)
     // Placement-awareness stays opt-in for the same reason.
     EXPECT_EQ(policy.spare_placement, SparePlacementPolicy::CentralPool);
     EXPECT_FALSE(policy.placement_migration);
-    EXPECT_FALSE(policy.placementAware());
+    EXPECT_FALSE(RecordedPolicy(policy).placementAware());
 }
 
 TEST(RecoveryPolicy, EnumTextRoundTrips)
@@ -76,27 +88,27 @@ TEST(RecoveryPolicy, EnumTextRoundTrips)
     EXPECT_STREQ(toString(RecoveryMode::WarmSpare), "warm-spare");
     EXPECT_STREQ(toString(CheckpointMode::Sync), "sync");
     EXPECT_STREQ(toString(CheckpointMode::Async), "async");
-    for (int m = 0; m < kNumRecoveryModes; ++m) {
-        const auto mode = static_cast<RecoveryMode>(m);
-        EXPECT_EQ(tryParse<RecoveryMode>(toString(mode)), mode);
-    }
-    for (int m = 0; m < kNumCheckpointModes; ++m) {
-        const auto mode = static_cast<CheckpointMode>(m);
-        EXPECT_EQ(tryParse<CheckpointMode>(toString(mode)), mode);
-    }
-    EXPECT_EQ(tryParse<RecoveryMode>("no-such-mode"), std::nullopt);
-    EXPECT_EQ(tryParse<CheckpointMode>(""), std::nullopt);
+    std::set<std::string> recovery_modes;
+    for (int m = 0; m < kNumRecoveryModes; ++m)
+        recovery_modes.insert(toString(static_cast<RecoveryMode>(m)));
+    EXPECT_EQ(recovery_modes.size(),
+              static_cast<std::size_t>(kNumRecoveryModes));
+    std::set<std::string> checkpoint_modes;
+    for (int m = 0; m < kNumCheckpointModes; ++m)
+        checkpoint_modes.insert(toString(static_cast<CheckpointMode>(m)));
+    EXPECT_EQ(checkpoint_modes.size(),
+              static_cast<std::size_t>(kNumCheckpointModes));
 }
 
 TEST(RecoveryPolicy, PlacementAwareTracksPolicyAndMigration)
 {
     RecoveryPolicy policy = RecoveryPolicy::elastic(4);
-    EXPECT_FALSE(policy.placementAware());
+    EXPECT_FALSE(RecordedPolicy(policy).placementAware());
     policy.spare_placement = SparePlacementPolicy::PerPodReserve;
-    EXPECT_TRUE(policy.placementAware());
+    EXPECT_TRUE(RecordedPolicy(policy).placementAware());
     policy.spare_placement = SparePlacementPolicy::CentralPool;
     policy.placement_migration = true;
-    EXPECT_TRUE(policy.placementAware());
+    EXPECT_TRUE(RecordedPolicy(policy).placementAware());
 }
 
 TEST(RecoveryCostModel, CostBreakdownSumsItsComponents)
@@ -158,8 +170,7 @@ TEST(RecoveryCostModel, ShrinkPaysReShardOnTopOfReInit)
     EXPECT_GT(shrink, policy.swap_reinit_seconds);
     // Restore at the shrunk world is priced at that world's (larger)
     // per-host shards.
-    EXPECT_GE(costs.loadSecondsAt(f.par.dp - 1),
-              costs.loadSecondsAt(f.par.dp));
+    EXPECT_GE(loadSecondsAt(f, f.par.dp - 1), loadSecondsAt(f, f.par.dp));
 }
 
 TEST(RecoveryCostModel, RegrowIsPricedSymmetricToShrink)
@@ -181,8 +192,7 @@ TEST(RecoveryCostModel, RegrowIsPricedSymmetricToShrink)
         costs.price(shrinkRequest(f.par.dp - 1)).totalSeconds();
     EXPECT_LT(regrow, 10.0 * shrink);
     EXPECT_GT(regrow, 0.1 * shrink);
-    EXPECT_GE(costs.loadSecondsAt(f.par.dp - 1),
-              costs.loadSecondsAt(f.par.dp));
+    EXPECT_GE(loadSecondsAt(f, f.par.dp - 1), loadSecondsAt(f, f.par.dp));
 }
 
 TEST(RecoveryCostModel, PartialRestartBeatsTheGlobalSwap)

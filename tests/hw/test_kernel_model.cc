@@ -179,5 +179,36 @@ TEST(ClusterSpec, ProductionPreset)
     EXPECT_DOUBLE_EQ(c.node.gpu.nic_bw_gbps, 50.0);
 }
 
+TEST(ClusterSpec, PodGeometryPinsPartialLastPod)
+{
+    // Hand-computed values: every model delegates to these, so a model
+    // cross-check alone cannot catch a wrong formula here.
+    const ClusterSpec prod = ClusterSpec::llama3Production();
+    EXPECT_EQ(prod.gpusPerPod(), 3072);
+    EXPECT_EQ(prod.numPods(), 6); // 2048 nodes / 384 = 5 full + 1 partial
+    EXPECT_EQ(prod.podOf(0), 0);
+    EXPECT_EQ(prod.podOf(3071), 0);
+    EXPECT_EQ(prod.podOf(3072), 1);
+    EXPECT_EQ(prod.podOf(16383), 5);
+    EXPECT_EQ(prod.podGpus(0), 3072);
+    EXPECT_EQ(prod.podGpus(4), 3072);
+    EXPECT_EQ(prod.podGpus(5), 1024);
+
+    ClusterSpec exact; // 6 nodes in pods of 3: two full pods
+    exact.num_nodes = 6;
+    exact.nodes_per_pod = 3;
+    EXPECT_EQ(exact.gpusPerPod(), 24);
+    EXPECT_EQ(exact.numPods(), 2);
+    EXPECT_EQ(exact.podOf(23), 0);
+    EXPECT_EQ(exact.podOf(24), 1);
+    EXPECT_EQ(exact.podGpus(1), 24);
+
+    ClusterSpec small; // fewer nodes than one pod holds: one partial pod
+    small.num_nodes = 2;
+    EXPECT_EQ(small.numPods(), 1);
+    EXPECT_EQ(small.podOf(15), 0);
+    EXPECT_EQ(small.podGpus(0), 16);
+}
+
 } // namespace
 } // namespace llm4d

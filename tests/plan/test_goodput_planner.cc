@@ -633,8 +633,6 @@ TEST(GoodputPlanner, TryBestReturnsNulloptWhenNothingFits)
     in.base.cp_options = {1};
     in.base.pp_options = {1};
     EXPECT_FALSE(tryBestGoodputPlan(in).has_value());
-    EXPECT_DEATH(bestGoodputPlan(in),
-                 "no feasible parallelism configuration");
 }
 
 TEST(GoodputPlanner, ValidateRejectsInsaneSweeps)

@@ -119,27 +119,13 @@ TEST(Planner, RejectReasonsRenderForDisplay)
 TEST(Planner, TryBestPlanReturnsNulloptWhenNothingFits)
 {
     // tp = 5 divides neither the cluster nor the attention heads, so
-    // every candidate is rejected and the optional-returning variant
-    // reports that instead of aborting.
+    // every candidate is rejected and tryBestPlan reports that instead
+    // of aborting.
     PlanInput in;
     in.tp_options = {5};
     in.cp_options = {1};
     in.pp_options = {1, 2};
     EXPECT_FALSE(tryBestPlan(in).has_value());
-    EXPECT_DEATH((void)bestPlan(in),
-                 "no feasible parallelism configuration");
-}
-
-TEST(Planner, BestPlanWrapsTryBestPlan)
-{
-    PlanInput in;
-    const std::optional<PlanCandidate> chosen = tryBestPlan(in);
-    ASSERT_TRUE(chosen.has_value());
-    const PlanCandidate aborting = bestPlan(in);
-    EXPECT_EQ(chosen->par, aborting.par);
-    EXPECT_EQ(chosen->zero, aborting.zero);
-    EXPECT_EQ(chosen->schedule, aborting.schedule);
-    EXPECT_EQ(chosen->est_step_seconds, aborting.est_step_seconds);
 }
 
 TEST(Planner, MemoryEstimatesWithinHbm)
