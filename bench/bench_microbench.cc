@@ -2,15 +2,16 @@
  * @file
  * Google-benchmark microbenchmarks of the library itself: schedule
  * generation/execution, collective pricing, executable CP attention,
- * full training-step simulation, a straggler rerun, and the multi-day
- * run loop. These guard the simulator's own performance (an 8K-GPU
- * imbalance sweep must stay interactive).
+ * full training-step simulation, a straggler rerun, the multi-day run
+ * loop, and a goodput-planning question. These guard the simulator's
+ * own performance (an 8K-GPU imbalance sweep must stay interactive).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "llm4d/cp/cp_attention.h"
 #include "llm4d/net/collective.h"
+#include "llm4d/plan/goodput_planner.h"
 #include "llm4d/plan/planner.h"
 #include "llm4d/pp/executor.h"
 #include "llm4d/pp/legality.h"
@@ -183,6 +184,40 @@ BM_TrainRunSimRun(benchmark::State &state)
     state.counters["events_per_run"] = static_cast<double>(events);
 }
 BENCHMARK(BM_TrainRunSimRun)->Unit(benchmark::kMillisecond);
+
+void
+BM_PlanGoodput(benchmark::State &state)
+{
+    // One planGoodput question at plan_sweep's shape: 1024 tokens per
+    // GPU, the default grid, horizon and fault seed. Runs simulated and
+    // their engine events are counted per question.
+    const std::int64_t gpus = state.range(0);
+    GoodputPlanInput in;
+    in.base.cluster = ClusterSpec::llama3Production(gpus);
+    in.base.global_batch_tokens = gpus * 1024;
+    std::int64_t runs = 0;
+    std::int64_t events = 0;
+    for (auto _ : state) {
+        const std::vector<GoodputPlanCandidate> ranked = planGoodput(in);
+        runs = 0;
+        events = 0;
+        for (const GoodputPlanCandidate &cand : ranked) {
+            for (const GoodputSweepPoint &pt : cand.sweep) {
+                if (pt.reuses_cell)
+                    continue;
+                ++runs;
+                events += pt.report.engine_events;
+            }
+        }
+        benchmark::DoNotOptimize(ranked.data());
+    }
+    state.counters["runs_per_question"] = static_cast<double>(runs);
+    state.counters["events_per_question"] = static_cast<double>(events);
+}
+BENCHMARK(BM_PlanGoodput)
+    ->Arg(2048)
+    ->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

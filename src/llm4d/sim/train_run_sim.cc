@@ -415,12 +415,15 @@ TrainRunSim::run() const
 }
 
 /**
- * The state of one simulated run and its event handlers. Every handler
- * runs as an Engine event (or is called by one), so the members are the
- * whole state between events. Event callbacks capture only `this`.
- * Steps run in segments, one event per run of steps at one price
- * (scheduleSteps); every other event settles the segment before it
- * changes anything (settleSteps).
+ * The state of one simulated run and its handlers; the members are the
+ * whole state between events. Only the interrupts the run does not
+ * control are Engine events (interruptAt): faults, flap expiries and
+ * outage ends. Everything the run does between them is walked in one
+ * loop (walk), after each interrupt and up to the engine's next event:
+ * step segments (runs of steps at one price), checkpoint writes, async
+ * drains and drain stalls, in the order the engine would run them as
+ * events. An interrupt finds the step, write or stall in flight and
+ * settles the segment before it changes anything (settleSteps).
  */
 class TrainRunSim::RunState
 {
@@ -457,6 +460,7 @@ class TrainRunSim::RunState
         if (!faults_.silent())
             pumpFault();
         scheduleSteps();
+        walk();
         eng_.run();
         rep_.completed = finished_ && !truncated_;
         rep_.steps_committed = ledger_[Rung::Committed].steps;
@@ -561,7 +565,7 @@ class TrainRunSim::RunState
     {
         double worst_capacity = 1.0;
         for (const auto &[rank, flap] : flaps_) {
-            if (flap.until > eng_.now())
+            if (flap.until > now_)
                 worst_capacity = std::min(worst_capacity, flap.multiplier);
         }
         if (worst_capacity >= 1.0)
@@ -611,12 +615,71 @@ class TrainRunSim::RunState
     }
 
     /**
-     * Run the next segment: steps at one price, as one Engine event. It
-     * ends at the first step after which the run's own state changes
-     * what happens next: the finish, the checkpoint cadence, the end of
-     * warmup, a straggler detection, or the last step that starts by
-     * the wall limit. Everything else that can change the price is an
-     * event, and settles the segment first (settleSteps).
+     * Run the work the engine would have run before its next event, in
+     * its order: the ends of step segments, checkpoint writes and
+     * drains, each handled at its own time. A piece of work is stamped
+     * with the id the engine would have given its event when it started
+     * (Engine::nextId), so at an exact tie it comes first unless the
+     * next event was scheduled before it (FIFO). A drain ending with
+     * the segment or write in flight lands first: it started before
+     * them. Stops when nothing is in flight or the next event comes
+     * first; that event's handler finds the step, write or stall in
+     * flight, and walks on when it is done.
+     */
+    void walk()
+    {
+        while (running_ || drain_active_) {
+            const bool drain =
+                drain_active_ && (!running_ || drain_end_ <= work_end_);
+            const Time end = drain ? drain_end_ : work_end_;
+            const EventId stamp = drain ? drain_stamp_ : work_stamp_;
+            const std::optional<Engine::Next> next = eng_.peek();
+            if (next && (next->when < end ||
+                         (next->when == end && // lint:allow(time-eq)
+                          next->id < stamp)))
+                return;
+            now_ = end;
+            if (drain)
+                onDrainDone();
+            else if (steps_left_ > 0)
+                onStepsDone();
+            else
+                onWriteDone();
+        }
+    }
+
+    /**
+     * Queue an interrupt at @p when. At its turn it moves the run's
+     * clock to the engine's, runs @p handle and walks on. Every Engine
+     * event of a run is one.
+     */
+    template <typename Handle>
+    EventId interruptAt(Time when, Handle handle)
+    {
+        return eng_.scheduleAt(when, [this, handle] {
+            now_ = eng_.now();
+            handle();
+            walk();
+        });
+    }
+
+    /** Start the in-flight step segment or write: it ends @p t from
+     *  now, and walk() hands it to onStepsDone or onWriteDone. */
+    void startWork(Time t)
+    {
+        running_ = true;
+        work_started_ = now_;
+        work_end_ = now_ + t;
+        work_stamp_ = eng_.nextId();
+    }
+
+    /**
+     * Start the next segment: steps at one price. It ends at the first
+     * step after which the run's own state changes what happens next:
+     * the finish, the checkpoint cadence, the end of warmup, a
+     * straggler detection, or the last step that starts by the wall
+     * limit. A drain landing and every interrupt settle it first
+     * (settleSteps), so the steps after them are priced anew.
      */
     void scheduleSteps()
     {
@@ -641,12 +704,9 @@ class TrainRunSim::RunState
             steps = std::min(steps, warmup_left_);
         step_len_s_ = currentStepSeconds(steps);
         step_t_ = secondsToTime(step_len_s_);
-        steps = std::min(steps, (wall_limit_ - eng_.now()) / step_t_ + 1);
-        work_started_ = eng_.now();
+        steps = std::min(steps, (wall_limit_ - now_) / step_t_ + 1);
         steps_left_ = steps;
-        running_ = true;
-        work_event_ =
-            eng_.schedule(steps * step_t_, [this] { onStepsDone(); });
+        startWork(steps * step_t_);
     }
 
     /**
@@ -678,26 +738,21 @@ class TrainRunSim::RunState
     }
 
     /**
-     * An event the run does not control (a fault, a flap expiry, a drain
-     * completing) is about to change it mid-segment. Credit the steps
-     * that ended strictly before now. A step ending exactly now is still
-     * in flight: the event was queued before that step would have been
-     * (FIFO). Cut the segment to that step, and reschedule it only if
-     * that shortens it, so the step keeps its FIFO place.
+     * An interrupt or a drain landing is about to change the run
+     * mid-segment. Credit the steps that ended strictly before now. A
+     * step ending exactly now is still in flight: whatever lands now
+     * was queued before that step would have been (FIFO). Cut the
+     * segment to that step; it keeps its price and its stamp.
      */
     void settleSteps()
     {
         if (steps_left_ == 0)
             return;
-        const Time elapsed = eng_.now() - work_started_;
+        const Time elapsed = now_ - work_started_;
         if (elapsed > step_t_)
             creditSteps((elapsed - 1) / step_t_);
-        if (steps_left_ == 1)
-            return;
-        eng_.cancel(work_event_);
         steps_left_ = 1;
-        work_event_ = eng_.scheduleAt(work_started_ + step_t_,
-                                      [this] { onStepsDone(); });
+        work_end_ = work_started_ + step_t_;
     }
 
     void onStepsDone()
@@ -739,10 +794,7 @@ class TrainRunSim::RunState
     {
         write_ = kind;
         write_s_ = seconds;
-        work_started_ = eng_.now();
-        running_ = true;
-        work_event_ = eng_.schedule(secondsToTime(seconds),
-                                    [this] { onWriteDone(); });
+        startWork(secondsToTime(seconds));
     }
 
     void onWriteDone()
@@ -762,13 +814,13 @@ class TrainRunSim::RunState
             // background. With tiers it also supersedes local coverage.
             ledger_.fold(Rung::Tentative, Rung::Pending);
             drain_active_ = true;
-            drain_event_ = eng_.schedule(secondsToTime(ckpt_.drainSeconds()),
-                                         [this] { onDrainDone(); });
+            drain_end_ = now_ + secondsToTime(ckpt_.drainSeconds());
+            drain_stamp_ = eng_.nextId();
             if (finishing_ || evict_rank_ >= 0) {
                 // Durability is on the critical path: block for the
                 // drain instead of overlapping it with steps.
                 wait_ = AsyncWait::Final;
-                stall_started_ = eng_.now();
+                stall_started_ = now_;
             } else {
                 resume();
             }
@@ -805,7 +857,7 @@ class TrainRunSim::RunState
             // The single host snapshot buffer forces a stall while the
             // previous drain is still writing it out.
             wait_ = AsyncWait::Snapshot;
-            stall_started_ = eng_.now();
+            stall_started_ = now_;
         } else {
             startWrite(Write::Snapshot, ckpt_.snapshotSeconds());
         }
@@ -813,8 +865,6 @@ class TrainRunSim::RunState
 
     void onDrainDone()
     {
-        if (finished_ || truncated_)
-            return;
         settleSteps();
         drain_active_ = false;
         ledger_.fold(Rung::Pending, Rung::Committed);
@@ -832,7 +882,7 @@ class TrainRunSim::RunState
     {
         if (finishing_) {
             finished_ = true;
-            stopped_at_ = eng_.now();
+            stopped_at_ = now_;
         } else if (evict_rank_ >= 0) {
             const std::int64_t victim = topo_.nodeOf(evict_rank_);
             stragglers_.erase(evict_rank_);
@@ -905,9 +955,8 @@ class TrainRunSim::RunState
         if (warmup)
             warmup_left_ = cfg_.restart.warmup_steps;
         down_ = true;
-        const Time outage = secondsToTime(detection_s + rest_s);
-        resume_at_ = eng_.now() + outage;
-        resume_event_ = eng_.schedule(outage, [this] {
+        resume_at_ = now_ + secondsToTime(detection_s + rest_s);
+        resume_event_ = interruptAt(resume_at_, [this] {
             down_ = false;
             scheduleSteps();
         });
@@ -1006,7 +1055,7 @@ class TrainRunSim::RunState
     void resume()
     {
         RecoveryCostRequest req;
-        if (displaced_ > 0 && repair_shop_.hasReady(eng_.now()) &&
+        if (displaced_ > 0 && repair_shop_.hasReady(now_) &&
             pol_.placementMigration()) {
             do {
                 repair_shop_.pop();
@@ -1014,14 +1063,14 @@ class TrainRunSim::RunState
                 --displaced_;
                 ++rep_.placement_migrations;
                 sparePool().refill();
-            } while (displaced_ > 0 && repair_shop_.hasReady(eng_.now()));
+            } while (displaced_ > 0 && repair_shop_.hasReady(now_));
             req.kind = RecoveryCostRequest::Kind::MigrateHome;
             beginOutage(&rep_.displacement_seconds, 0.0,
                         sim_.recovery_.price(req).totalSeconds());
             return;
         }
         std::int64_t grew = 0;
-        while (repair_shop_.hasReady(eng_.now())) {
+        while (repair_shop_.hasReady(now_)) {
             const bool pool_low =
                 sparePool().available() < sparePool().provisioned();
             const bool dp_low = dp_now_ + grew < cfg_.job.par.dp;
@@ -1058,7 +1107,7 @@ class TrainRunSim::RunState
     {
         if (wait_ == AsyncWait::None)
             return;
-        rep_.drain_stall_seconds += timeToSeconds(eng_.now() - stall_started_);
+        rep_.drain_stall_seconds += timeToSeconds(now_ - stall_started_);
         wait_ = AsyncWait::None;
     }
 
@@ -1073,14 +1122,13 @@ class TrainRunSim::RunState
     {
         settleStall();
         if (running_) {
-            eng_.cancel(work_event_);
-            rep_.lost_seconds += timeToSeconds(eng_.now() - work_started_);
+            rep_.lost_seconds += timeToSeconds(now_ - work_started_);
             running_ = false;
             steps_left_ = 0;
         }
         if (down_) {
             eng_.cancel(resume_event_);
-            const double remaining = timeToSeconds(resume_at_ - eng_.now());
+            const double remaining = timeToSeconds(resume_at_ - now_);
             const double rest_part = std::min(remaining, outage_rest_s_);
             *outage_bucket_ -= rest_part;
             rep_.detection_seconds -= remaining - rest_part;
@@ -1104,10 +1152,8 @@ class TrainRunSim::RunState
         const std::int64_t audit_committed = ledger_[Rung::Committed].steps;
         const std::int64_t audit_executed = ledger_.steps() + rep_.steps_lost;
 #endif
-        if (tier == CheckpointTier::Global && drain_active_) {
-            eng_.cancel(drain_event_);
+        if (tier == CheckpointTier::Global)
             drain_active_ = false;
-        }
         const auto [steps, seconds] = ledger_.dropNewerThan(
             kRestorePoint[static_cast<std::size_t>(tier)]);
         rep_.lost_seconds += seconds;
@@ -1134,19 +1180,19 @@ class TrainRunSim::RunState
     /** End the run as incomplete once past the wall-clock limit. */
     bool truncateIfLate()
     {
-        if (eng_.now() <= wall_limit_)
+        if (now_ <= wall_limit_)
             return false;
         abortInFlight();
         rollbackTo(CheckpointTier::Global);
         truncated_ = true;
-        stopped_at_ = eng_.now();
+        stopped_at_ = now_;
         return true;
     }
 
     void pumpFault()
     {
         next_fault_ = faults_.next();
-        eng_.scheduleAt(std::max(next_fault_.when, eng_.now()), [this] {
+        interruptAt(std::max(next_fault_.when, now_), [this] {
             if (finished_ || truncated_)
                 return; // queue drains; no further faults are pulled
             const FaultEvent ev = next_fault_;
@@ -1242,10 +1288,10 @@ class TrainRunSim::RunState
         const auto it = flaps_.find(ev.component);
         if (it == flaps_.end() || flap.until > it->second.until)
             flaps_[ev.component] = flap;
-        eng_.scheduleAt(flap.until, [this, rank = ev.component] {
+        interruptAt(flap.until, [this, rank = ev.component] {
             settleSteps(); // steps starting from now price without it
             const auto fit = flaps_.find(rank);
-            if (fit != flaps_.end() && fit->second.until <= eng_.now())
+            if (fit != flaps_.end() && fit->second.until <= now_)
                 flaps_.erase(fit);
         });
     }
@@ -1268,6 +1314,9 @@ class TrainRunSim::RunState
     const Topology topo_;
     std::optional<SparePool> spare_pool_; ///< see sparePool()
     Engine eng_;
+    /** The run's clock: the engine's at an event, ahead of it while
+     *  walk() runs the work before the next one. Handlers read this. */
+    Time now_ = 0;
     TrainRunReport rep_;
     CoverageLedger ledger_;
     // Ordered maps on purpose: both are iterated by event handlers, and
@@ -1298,10 +1347,12 @@ class TrainRunSim::RunState
     Time step_t_ = 0;            ///< the same, as engine time
     std::int64_t steps_left_ = 0; ///< segment steps not yet credited
     Time work_started_ = 0;      ///< start of the in-flight step or write
+    Time work_end_ = 0;          ///< end of the in-flight segment or write
+    EventId work_stamp_ = 0;     ///< its FIFO place (see walk())
+    Time drain_end_ = 0;         ///< when the active drain lands
+    EventId drain_stamp_ = 0;    ///< its FIFO place
     Time stall_started_ = 0;
     Time stopped_at_ = 0;        ///< clock when the run ended (either way)
-    EventId work_event_ = 0;     ///< pending step/write completion
-    EventId drain_event_ = 0;
     EventId resume_event_ = 0;   ///< pending service restoration
     Time resume_at_ = 0;         ///< when that restoration fires
     double outage_rest_s_ = 0.0; ///< recovery part of the outage

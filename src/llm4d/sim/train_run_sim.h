@@ -354,11 +354,13 @@ struct TrainRunReport
     std::vector<FaultEvent> timeline;
 
     /**
-     * Engine events the run processed: one per step segment (a run of
-     * steps at one price), checkpoint write, drain, fault, flap expiry
-     * and outage. A work count, not a result. A planner cell that
-     * reuses another cell's run (GoodputSweepPoint::reuses_cell)
-     * carries the reused run's count.
+     * Engine events the run processed: its interrupts, one per fault
+     * (plus the one queued when the run ends), flap expiry and outage
+     * end. The steps, checkpoint writes and drains between them take
+     * none, so the count grows with interrupts, not with checkpoint
+     * intervals: a fault-free run takes none. A work count, not a
+     * result. A planner cell that reuses another cell's run
+     * (GoodputSweepPoint::reuses_cell) carries the reused run's count.
      */
     std::int64_t engine_events = 0;
 

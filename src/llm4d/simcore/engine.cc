@@ -36,7 +36,10 @@ Engine::cancel(EventId id)
     // reaches the head, so cancel() is O(1) and the queue never reorders.
     // Removing from pending_ both marks the cancellation and rejects ids
     // that already ran, were already cancelled, or never existed.
-    return pending_.erase(id) > 0;
+    if (pending_.erase(id) == 0)
+        return false;
+    ++cancelled_;
+    return true;
 }
 
 bool
@@ -48,7 +51,23 @@ Engine::popInto(Event &out)
     auto &top = const_cast<Event &>(queue_.top());
     out = Event{top.when, top.seq, std::move(top.fn)};
     queue_.pop();
-    return pending_.erase(out.seq) > 0;
+    if (pending_.erase(out.seq) > 0)
+        return true;
+    --cancelled_;
+    return false;
+}
+
+std::optional<Engine::Next>
+Engine::peek()
+{
+    while (cancelled_ > 0 && !queue_.empty() &&
+           !pending_.contains(queue_.top().seq)) {
+        queue_.pop();
+        --cancelled_;
+    }
+    if (queue_.empty())
+        return std::nullopt;
+    return Next{queue_.top().when, queue_.top().seq};
 }
 
 Time

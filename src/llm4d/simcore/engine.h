@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -63,6 +64,26 @@ class Engine
 
     /** Number of events executed so far (cancelled events excluded). */
     std::int64_t eventsProcessed() const { return processed_; }
+
+    /** When the next event runs, and its id (its FIFO place). */
+    struct Next
+    {
+        Time when;
+        EventId id;
+    };
+
+    /**
+     * The next event run() will execute, or nullopt when none is
+     * pending. Drops cancelled events from the head first. A model that
+     * steps through work of its own between events runs that work up to
+     * here; a piece of it that would have been scheduled with id
+     * nextId() at the time orders against this event by the FIFO rule.
+     */
+    std::optional<Next> peek();
+
+    /** The id the next scheduled event will get (every pending id is
+     *  smaller). */
+    EventId nextId() const { return nextSeq_; }
 
 #if LLM4D_AUDIT_ENABLED
     /**
@@ -124,6 +145,9 @@ class Engine
     std::priority_queue<Event, std::vector<Event>, Later> queue_;
     /** Ids scheduled but neither executed nor cancelled. */
     std::unordered_set<EventId> pending_;
+    /** Cancelled events still queued: peek() looks an id up only when
+     *  one may be at the head. */
+    std::size_t cancelled_ = 0;
     Time now_ = 0;
     EventId nextSeq_ = 0;
     std::int64_t processed_ = 0;

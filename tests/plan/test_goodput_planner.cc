@@ -607,6 +607,28 @@ TEST(GoodputPlannerGolden, PlanSweepShapedQuestionAt2K)
     expectPinned(in, 5, 200, 0x5912d78903f337fbULL);
 }
 
+TEST(GoodputPlanner, PlanSweepShapedQuestionAt2KTakesFewEngineEvents)
+{
+    // The golden question above simulates 20 runs that meet 20 fatal
+    // faults between them. Only interrupts are engine events: the
+    // faults, their outages' ends, and the fault each run leaves queued
+    // when it ends. Steps, checkpoint writes and drains take none (they
+    // took 5,300 events as one per segment, write and drain).
+    GoodputPlanInput in;
+    in.base.cluster = ClusterSpec::llama3Production(2048);
+    in.base.global_batch_tokens = 2048LL * 1024;
+    const std::vector<GoodputPlanCandidate> ranked = planGoodput(in);
+    std::int64_t events = 0;
+    for (const GoodputPlanCandidate &cand : ranked) {
+        for (const GoodputSweepPoint &pt : cand.sweep) {
+            if (!pt.reuses_cell)
+                events += pt.report.engine_events;
+        }
+    }
+    EXPECT_EQ(simulatedRuns(ranked), 20);
+    EXPECT_LE(events, 60);
+}
+
 TEST(GoodputPlannerGolden, CandidatesWithAndWithoutADpPeer)
 {
     // A 70B model on 64 GPUs: tp8/pp4/dp2 candidates sweep all 40 cells

@@ -1367,14 +1367,11 @@ TEST(TrainRunSim, CorrelatedStragglersCostGoodputUnderCrn)
             EXPECT_EQ(fatals_a[i]->component, fatals_b[i]->component);
         }
         // Pod occupancy of the correlated arm's straggler onsets.
-        const std::int64_t gpus_per_pod =
-            cfg.job.cluster.node.gpus_per_node *
-            cfg.job.cluster.nodes_per_pod;
         std::map<std::int64_t, int> per_pod;
         bool shared_pod = false;
         for (const FaultEvent &ev : with_corr.timeline)
             if (ev.kind == FaultKind::StragglerOnset)
-                if (++per_pod[ev.component / gpus_per_pod] >= 2)
+                if (++per_pod[cfg.job.cluster.podOf(ev.component)] >= 2)
                     shared_pod = true;
         if (!shared_pod)
             continue;
@@ -1737,12 +1734,14 @@ fatalOnlyWornConfig(double hotter)
     return cfg;
 }
 
-// Reports pinned bit for bit. They were computed with one engine event
-// per step, so they hold step segments to the per-step results. Between
-// them the runs end segments at every cadence the run controls
-// (checkpoint, finish, warmup, straggler detection, wall limit) and
-// settle them at every interrupt it does not (fatal faults, straggler
-// onsets, flap onsets and expiries, async drains).
+// Reports pinned bit for bit. The first seven were computed with one
+// engine event per step, the last two with one per step segment, write
+// and drain, so they hold the walk to results of runs that scheduled
+// all their work as events. Between them the runs end segments at every
+// cadence the run controls (checkpoint, finish, warmup, straggler
+// detection, wall limit) and settle them at every interrupt it does not
+// (fatal faults, straggler onsets, flap onsets and expiries, async
+// drains).
 
 TEST(TrainRunSimGolden, FaultFreeSyncRun)
 {
@@ -1865,6 +1864,47 @@ TEST(TrainRunSimGolden, CrossPodSwapsAndMigrationsFromPodReserves)
     EXPECT_EQ(rep.placement_migrations, 5);
     EXPECT_EQ(rep.displacement_seconds, 0x1.e79c1cd6a568bp+7);
     EXPECT_EQ(rep.faults.link_flaps, 3);
+}
+
+TEST(TrainRunSimGolden, AsyncDrainsOutlastTheInterval)
+{
+    // Half the filesystem bandwidth drains a snapshot in 156 s against a
+    // 56 s interval: every boundary stalls on the single snapshot buffer
+    // until the previous drain lands, and the run spends more time
+    // stalled than training.
+    TrainRunConfig cfg = fatalOnlyWornConfig(1.0);
+    cfg.seed = 5;
+    cfg.checkpoint_interval_steps = 10;
+    cfg.storage.write_gbps_per_host = 0.5;
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.7635399549b9fp+15, 0x1.06c85fae3831bp+14,
+                  0x1.02286145fb6abp+9, 0x1.b8d3052a2c95ep+7,
+                  0x1.bda25128919d8p+7, 0x1.ep+5, 0x1.cf5417ad6e0dep+14, 38,
+                  2, 0, 0, 0, 0, 0, 2});
+}
+
+TEST(TrainRunSimGolden, AsyncEvictionsWaitForDurability)
+{
+    // Stragglers at 1/2000 of the calibrated MTBF and no rebalancing:
+    // each of 17 detections snapshots, blocks until the drain lands,
+    // then evicts the culprit. Of the 19 recoveries (two for fatal
+    // faults), the one-host pool serves one, a shrink one, and full
+    // restarts the rest.
+    TrainRunConfig cfg = wornFleetConfig();
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours /= 200.0;
+    cfg.job.cluster.node.nic_flap_mtbf_hours = 0.0;
+    cfg.total_steps = 3000;
+    cfg.seed = 2;
+    cfg.policy = RecoveryPolicy::elastic(1);
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    cfg.policy.straggler_rebalance = false;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    expectGolden(rep, {0x1.902a791760cd6p+14, 0x1.06c85fae3833p+14,
+                       0x1.0882b21106a17p+9, 0x1.d1c05692d5b24p+7,
+                       0x1.1a895904a906ep+6, 0x1.068p+11,
+                       0x1.0586d3a9a0d66p+11, 38, 17, 1, 1, 0, 0, 0, 19});
+    EXPECT_EQ(rep.faults.stragglers, 17);
 }
 
 TEST(JobPricingGolden, DisplacementSlowdownPerSpineOversubscription)
@@ -2119,28 +2159,54 @@ TEST(TrainRunSim, FlapsPriceACapacityLikeADisplacedRank)
     EXPECT_NEAR(steps, std::round(steps), 1e-6);
 }
 
-TEST(TrainRunSim, FaultFreeSyncRunTakesTwoEventsPerInterval)
+TEST(TrainRunSim, FaultFreeRunsTakeNoEngineEvent)
 {
-    // One engine event per run of steps at one price, and one per save.
-    TrainRunConfig cfg = wornFleetConfig();
-    disableAllFaults(cfg);
-    cfg.total_steps = 6000;
-    cfg.checkpoint_interval_steps = 100;
-    EXPECT_EQ(TrainRunSim(cfg).run().engine_events, 2 * 60);
+    // Only interrupts are engine events. Nothing interrupts a fault-free
+    // run, so the call that starts it walks every segment, write, drain
+    // and stall to the end, at any interval, in every checkpoint mode.
+    for (const bool tiered : {false, true}) {
+        for (const CheckpointMode mode :
+             {CheckpointMode::Sync, CheckpointMode::Async}) {
+            for (const std::int64_t interval : {1, 7, 100}) {
+                TrainRunConfig cfg = wornFleetConfig();
+                disableAllFaults(cfg);
+                cfg.total_steps = 6000;
+                cfg.checkpoint_interval_steps = interval;
+                cfg.storage.hier.enabled = tiered;
+                cfg.storage.hier.global_every = 4;
+                cfg.storage.hier.nvme_every = 2;
+                cfg.policy.checkpoint_mode = mode;
+                const TrainRunReport rep = TrainRunSim(cfg).run();
+                ASSERT_TRUE(rep.completed);
+                EXPECT_EQ(rep.engine_events, 0)
+                    << (tiered ? "tiered " : "") << toString(mode)
+                    << " at interval " << interval;
+            }
+        }
+    }
 }
 
-TEST(TrainRunSim, FaultFreeAsyncRunTakesAtMostFourEventsPerInterval)
+TEST(TrainRunSim, EngineEventsAreInterrupts)
 {
-    // Per interval: a segment that the landing drain cuts, the rest of
-    // it, the snapshot, and the drain.
-    TrainRunConfig cfg = wornFleetConfig();
-    disableAllFaults(cfg);
-    cfg.total_steps = 6000;
-    cfg.checkpoint_interval_steps = 100;
-    cfg.policy.checkpoint_mode = CheckpointMode::Async;
-    const TrainRunReport rep = TrainRunSim(cfg).run();
-    ASSERT_TRUE(rep.completed);
-    EXPECT_LE(rep.engine_events, 4 * 60);
+    // Every engine event is an interrupt: a fault (one per timeline
+    // entry, plus the one queued when the run ends), a flap expiry (one
+    // per flap) or an outage end (one per recovery, rebalance pause,
+    // regrow or migration; a regrow or a migration re-admits at least
+    // one host). Straggler detections cost no event of their own.
+    const TrainRunSim job(wornFleetConfig());
+    Rng rng(20261019);
+    for (int i = 0; i < 30; ++i) {
+        const TrainRunConfig cfg = randomWornConfig(rng);
+        const TrainRunReport rep = TrainRunSim(cfg, job).run();
+        const std::int64_t outages =
+            rep.restarts + rep.spare_swaps + rep.dp_shrinks +
+            rep.rebalances + rep.dp_regrows + rep.placement_migrations;
+        const auto timeline = static_cast<std::int64_t>(rep.timeline.size());
+        EXPECT_LE(rep.engine_events,
+                  timeline + rep.faults.link_flaps + outages + 1)
+            << "config " << i << ": " << cfg.total_steps << " steps at "
+            << cfg.checkpoint_interval_steps << " per checkpoint";
+    }
 }
 
 /**

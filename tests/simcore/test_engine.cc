@@ -157,6 +157,29 @@ TEST(Engine, EventsProcessedAccumulatesAcrossRuns)
     EXPECT_EQ(eng.eventsProcessed(), 3);
 }
 
+TEST(Engine, PeekShowsTheNextEventToRunPastCancelledOnes)
+{
+    Engine eng;
+    EXPECT_FALSE(eng.peek().has_value());
+    const EventId first = eng.schedule(2 * kUs, [] {});
+    const EventId tied = eng.schedule(2 * kUs, [] {});
+    eng.schedule(kUs, [] {});
+    const EventId last = eng.schedule(3 * kUs, [] {});
+    EXPECT_EQ(eng.nextId(), last + 1);
+    ASSERT_TRUE(eng.peek().has_value());
+    EXPECT_EQ(eng.peek()->when, kUs);
+    EXPECT_TRUE(eng.cancel(last - 1));
+    EXPECT_TRUE(eng.cancel(first));
+    // The cancelled head is skipped: the tie goes to the later id.
+    ASSERT_TRUE(eng.peek().has_value());
+    EXPECT_EQ(eng.peek()->when, 2 * kUs);
+    EXPECT_EQ(eng.peek()->id, tied);
+    // Peeking dropped two cancelled events; run() executes the rest.
+    EXPECT_EQ(eng.run(), 3 * kUs);
+    EXPECT_EQ(eng.eventsProcessed(), 2);
+    EXPECT_FALSE(eng.peek().has_value());
+}
+
 TEST(TimeConversions, SecondsRoundToTheNearestNanosecond)
 {
     EXPECT_EQ(secondsToTime(1.4e-9), 1);
