@@ -171,9 +171,11 @@ BM_TrainRunSimRun(benchmark::State &state)
                                                 job.baseStep().step_seconds);
     const TrainRunSim sim(cfg, job);
     std::int64_t events = 0;
+    std::int64_t walked = 0;
     for (auto _ : state) {
         const TrainRunReport rep = sim.run();
         events = rep.engine_events;
+        walked = rep.walked_work;
         benchmark::DoNotOptimize(rep.wall_seconds);
     }
     // Steps per iteration as an inverted rate: seconds per step.
@@ -182,6 +184,7 @@ BM_TrainRunSimRun(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
     state.counters["events_per_run"] = static_cast<double>(events);
+    state.counters["walked_per_run"] = static_cast<double>(walked);
 }
 BENCHMARK(BM_TrainRunSimRun)->Unit(benchmark::kMillisecond);
 
@@ -189,30 +192,35 @@ void
 BM_PlanGoodput(benchmark::State &state)
 {
     // One planGoodput question at plan_sweep's shape: 1024 tokens per
-    // GPU, the default grid, horizon and fault seed. Runs simulated and
-    // their engine events are counted per question.
+    // GPU, the default grid, horizon and fault seed. Runs simulated,
+    // their engine events and their walked work are counted per
+    // question.
     const std::int64_t gpus = state.range(0);
     GoodputPlanInput in;
     in.base.cluster = ClusterSpec::llama3Production(gpus);
     in.base.global_batch_tokens = gpus * 1024;
     std::int64_t runs = 0;
     std::int64_t events = 0;
+    std::int64_t walked = 0;
     for (auto _ : state) {
         const std::vector<GoodputPlanCandidate> ranked = planGoodput(in);
         runs = 0;
         events = 0;
+        walked = 0;
         for (const GoodputPlanCandidate &cand : ranked) {
             for (const GoodputSweepPoint &pt : cand.sweep) {
                 if (pt.reuses_cell)
                     continue;
                 ++runs;
                 events += pt.report.engine_events;
+                walked += pt.report.walked_work;
             }
         }
         benchmark::DoNotOptimize(ranked.data());
     }
     state.counters["runs_per_question"] = static_cast<double>(runs);
     state.counters["events_per_question"] = static_cast<double>(events);
+    state.counters["walked_per_question"] = static_cast<double>(walked);
 }
 BENCHMARK(BM_PlanGoodput)
     ->Arg(2048)

@@ -11,11 +11,13 @@
  * budget — and then re-ranks the same candidates by simulated goodput
  * under failures (Section 8), printing the fault-free and fault-aware
  * choices side by side, and per scale how many policy cells needed
- * their own run and which recovery knobs the winner's run consulted.
+ * their own run, what those runs cost the run loop, and which recovery
+ * knobs the winner's run consulted.
  *
  * Build & run:  ./build/examples/capacity_planner
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -28,21 +30,31 @@
 using namespace llm4d;
 
 /**
- * "<cells> cells, <runs> runs; winner's run consulted: ..." for one
- * ranked sweep: a cell reuses an earlier cell's run when it differs only
- * in knobs that run never read, and the knobs the winner's run read are
- * the only ones that could have changed its outcome. Every run reads
- * its checkpoint mode and tier cadence.
+ * "<cells> cells, <runs> runs (<events> engine events, <walked> walked);
+ * winner's run consulted: ..." for one ranked sweep: a cell reuses an
+ * earlier cell's run when it differs only in knobs that run never read,
+ * and the knobs the winner's run read are the only ones that could have
+ * changed its outcome. Every run reads its checkpoint mode and tier
+ * cadence. The runs' engine events and the segments, writes and drains
+ * they walked one at a time are the run loop's work, printed so that
+ * the checked-in report pins it.
  */
 std::string
 sweepSummary(const std::vector<GoodputPlanCandidate> &ranked)
 {
     std::size_t cells = 0;
     std::size_t runs = 0;
+    std::int64_t events = 0;
+    std::int64_t walked = 0;
     for (const GoodputPlanCandidate &cand : ranked) {
         cells += cand.sweep.size();
-        for (const GoodputSweepPoint &pt : cand.sweep)
-            runs += !pt.reuses_cell;
+        for (const GoodputSweepPoint &pt : cand.sweep) {
+            if (pt.reuses_cell)
+                continue;
+            ++runs;
+            events += pt.report.engine_events;
+            walked += pt.report.walked_work;
+        }
     }
     std::string consulted = "checkpoint mode, tiers";
     const PolicyFootprint &read = ranked.front().best().report.footprint;
@@ -52,7 +64,9 @@ sweepSummary(const std::vector<GoodputPlanCandidate> &ranked)
             consulted += std::string(", ") + toString(knob);
     }
     return std::to_string(cells) + " cells, " + std::to_string(runs) +
-           " runs; winner's run consulted: " + consulted;
+           " runs (" + std::to_string(events) + " engine events, " +
+           std::to_string(walked) + " walked); winner's run consulted: " +
+           consulted;
 }
 
 int

@@ -93,6 +93,10 @@ CheckpointModel::CheckpointModel(const ModelConfig &model,
     LLM4D_CHECK(par_.worldSize() == cluster_.numGpus(),
                 "parallelism " << par_.str() << " does not match cluster of "
                                << cluster_.numGpus() << " GPUs");
+    // Every write and restore is priced from these bytes; a run prices
+    // one at every checkpoint boundary it walks.
+    bytes_per_gpu_ =
+        totalBytes() / static_cast<double>(cluster_.numGpus());
     LLM4D_CHECK(!storage_.hier.enabled || hasDpPeer(par_),
                 "hierarchical HBM peer mirroring needs a DP peer "
                 "(dp * cp > 1)");
@@ -133,12 +137,6 @@ CheckpointModel::totalBytes() const
 {
     return kOptimizerBytesPerParam *
            static_cast<double>(model_.totalParams());
-}
-
-double
-CheckpointModel::bytesPerGpu() const
-{
-    return totalBytes() / static_cast<double>(cluster_.numGpus());
 }
 
 double

@@ -155,8 +155,9 @@ class CheckpointModel
     /** Total checkpoint bytes across the cluster (12 B / parameter). */
     [[nodiscard]] double totalBytes() const;
 
-    /** Sharded checkpoint bytes written/read by one GPU. */
-    [[nodiscard]] double bytesPerGpu() const;
+    /** Sharded checkpoint bytes written/read by one GPU (priced once,
+     *  when the model is built). */
+    [[nodiscard]] double bytesPerGpu() const { return bytes_per_gpu_; }
 
     /** Synchronous sharded-save cost charged to the training step. */
     [[nodiscard]] double saveSeconds() const;
@@ -213,6 +214,7 @@ class CheckpointModel
     ClusterSpec cluster_;
     ParallelismConfig par_;
     CheckpointStorage storage_;
+    double bytes_per_gpu_ = 0.0;
     double regather_seconds_ = 0.0;
     double hbm_mirror_p2p_seconds_ = 0.0;
 };

@@ -85,6 +85,14 @@ RepairModel::hasReady(Time now) const
     return !pending_.empty() && pending_.begin()->first <= now;
 }
 
+std::optional<Time>
+RepairModel::earliestCompletion() const
+{
+    if (pending_.empty())
+        return std::nullopt;
+    return pending_.begin()->first;
+}
+
 RepairComplete
 RepairModel::pop()
 {

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -98,6 +99,10 @@ class RepairModel
 
     /** True when a repair has completed at or before @p now. */
     [[nodiscard]] bool hasReady(Time now) const;
+
+    /** When the earliest repair in the shop completes (ready or not),
+     *  or nullopt when the shop is empty. */
+    [[nodiscard]] std::optional<Time> earliestCompletion() const;
 
     /** Pop the earliest completed repair (FIFO on ties). */
     RepairComplete pop();

@@ -1,8 +1,11 @@
 #include "llm4d/sim/train_run_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "llm4d/net/topology.h"
@@ -66,6 +69,13 @@ nicSlowdown(const TrainStepReport &base, const ClusterSpec &cluster,
     return 1.0 + (xfer_slowdown - 1.0) * nic_share;
 }
 
+/** @p x's bits, so that == compares doubles bit for bit. */
+std::int64_t
+bits(double x)
+{
+    return std::bit_cast<std::int64_t>(x);
+}
+
 /**
  * Where completed steps are covered, oldest rung first. A step enters
  * Tentative when it completes and moves toward Committed as checkpoint
@@ -117,8 +127,9 @@ class CoverageLedger
         t.extra_s += extra_s;
     }
 
-    /** Move the rungs from @p from down to just above @p into into it. */
-    void fold(Rung from, Rung into)
+    /** Move the rungs from @p from down to just above @p into into it.
+     *  @return what moved. */
+    Coverage fold(Rung from, Rung into)
     {
         Coverage moved;
         for (std::size_t r = from; r > into; --r) {
@@ -127,6 +138,13 @@ class CoverageLedger
             moved.extra_s += rungs_[r].extra_s;
             rungs_[r] = Coverage{};
         }
+        credit(into, moved);
+        return moved;
+    }
+
+    /** Add @p moved, as one fold would, to rung @p into. */
+    void credit(Rung into, const Coverage &moved)
+    {
         Coverage &to = rungs_[into];
         to.steps += moved.steps;
         to.base_s += moved.base_s;
@@ -149,6 +167,27 @@ class CoverageLedger
         return {steps, seconds};
     }
 
+    /** Whether the rungs above Committed hold what @p other's hold,
+     *  bit for bit. */
+    bool sameAboveCommitted(const CoverageLedger &other) const
+    {
+        for (std::size_t r = Rung::Committed + 1; r <= Rung::Tentative; ++r) {
+            const Coverage &a = rungs_[r];
+            const Coverage &b = other.rungs_[r];
+            if (a.steps != b.steps || bits(a.base_s) != bits(b.base_s) ||
+                bits(a.extra_s) != bits(b.extra_s))
+                return false;
+        }
+        return true;
+    }
+
+    /** Take @p other's rungs above Committed; keep Committed. */
+    void takeAboveCommitted(const CoverageLedger &other)
+    {
+        std::copy(other.rungs_.begin() + Rung::Committed + 1,
+                  other.rungs_.end(), rungs_.begin() + Rung::Committed + 1);
+    }
+
   private:
     std::array<Coverage, Rung::Tentative + 1> rungs_{};
 };
@@ -157,6 +196,34 @@ class CoverageLedger
  *  (HbmPeer, HostLocal, Global). */
 constexpr std::array<Rung, kNumCheckpointTiers> kRestorePoint = {
     Rung::Hbm, Rung::Nvme, Rung::Committed};
+
+/** A time no event or repair reaches. */
+constexpr Time kNever = std::numeric_limits<Time>::max();
+
+/** The longest cadence period, in boundaries, a run records. */
+constexpr std::int64_t kMaxPeriodBoundaries = 64;
+
+/** Room in the addition log per recorded boundary. A boundary adds at
+ *  most four: its tier write and, at a global boundary, the landing of
+ *  the drain it waits for, that wait, and the snapshot. */
+constexpr std::int64_t kCarriesPerBoundary = 8;
+
+/**
+ * Checkpoint boundaries per cadence period: one without tiers, and
+ * lcm(nvme_every, global_every) with them, after which the tier writes
+ * repeat. 0 when that is longer than a run records.
+ */
+std::int64_t
+cadencePeriod(const HierarchicalCheckpointSpec &hier)
+{
+    if (!hier.enabled)
+        return 1;
+    if (hier.nvme_every > kMaxPeriodBoundaries ||
+        hier.global_every > kMaxPeriodBoundaries)
+        return 0;
+    const std::int64_t period = std::lcm(hier.nvme_every, hier.global_every);
+    return period <= kMaxPeriodBoundaries ? period : 0;
+}
 
 } // namespace
 
@@ -423,7 +490,10 @@ TrainRunSim::run() const
  * step segments (runs of steps at one price), checkpoint writes, async
  * drains and drain stalls, in the order the engine would run them as
  * events. An interrupt finds the step, write or stall in flight and
- * settles the segment before it changes anything (settleSteps).
+ * settles the segment before it changes anything (settleSteps). Once
+ * the walk is back where it was one checkpoint cadence period earlier,
+ * it replays whole periods from that period's recorded additions
+ * instead of walking them (atBoundary, replay).
  */
 class TrainRunSim::RunState
 {
@@ -445,7 +515,12 @@ class TrainRunSim::RunState
           // repair shop at all.
           repair_shop_(cfg_.job.cluster, cfg_.repairs, cfg_.seed),
           topo_(cfg_.job.cluster),
-          dp_now_(cfg_.job.par.dp), step_(&job_.baseStep()), ckpt_(sim.ckpt_)
+          dp_now_(cfg_.job.par.dp), step_(&job_.baseStep()), ckpt_(sim.ckpt_),
+          period_(cadencePeriod(cfg_.storage.hier)),
+          // A period is at least its boundaries' steps at the base
+          // price; a replay needs one period recorded and one to apply.
+          min_record_s_(2.0 * static_cast<double>(period_) *
+                        static_cast<double>(interval_steps_) * base_step_s_)
     {
     }
 
@@ -460,6 +535,7 @@ class TrainRunSim::RunState
         if (!faults_.silent())
             pumpFault();
         scheduleSteps();
+        restartRecording();
         walk();
         eng_.run();
         rep_.completed = finished_ && !truncated_;
@@ -502,6 +578,60 @@ class TrainRunSim::RunState
         Save,         ///< sync global save: commits everything
         Snapshot,     ///< async DRAM snapshot: starts the drain
         TierBoundary, ///< HBM mirror (+ NVMe on its cadence)
+    };
+
+    /**
+     * What the walk reads at a checkpoint boundary, its times relative
+     * to the clock: the coverage above Committed, the DP width and step
+     * price of the stretch, the cadence phase, the segment just started,
+     * the drain in flight and the write that just landed. Not the
+     * Committed rung or the report's buckets: the walk only adds to
+     * them. Two boundaries in equal states (inState) begin identical
+     * periods.
+     */
+    struct WalkState
+    {
+        CoverageLedger ledger;       ///< read above Committed only
+        std::int64_t dp = 0;
+        double price_s = 0.0;        ///< before warmup and drain contention
+        std::int64_t phase = 0;      ///< cadence counter mod the period
+        std::int64_t steps_left = 0; ///< the segment's steps
+        double step_len_s = 0.0;     ///< and their price
+        Time step_t = 0;
+        Time work_left = 0;          ///< until the segment ends
+        Time drain_left = -1;        ///< until the drain lands; -1: none
+        Write write = Write::Save;   ///< the write that just landed
+        double write_s = 0.0;
+    };
+
+    /** A boundary recorded in this stretch, and where the run stood. */
+    struct Boundary
+    {
+        WalkState state;
+        Time at = 0;                ///< the clock
+        std::int64_t steps = 0;     ///< ledger_.steps()
+        std::int64_t counter = 0;   ///< the cadence counter
+        std::uint64_t carried = 0;  ///< additions recorded before it
+    };
+
+    /** One addition to what a period carries into the next: seconds
+     *  added to a report bucket, or coverage folded into Committed. */
+    struct Carry
+    {
+        double *bucket = nullptr; ///< the bucket; null for Committed
+        double seconds = 0.0;
+        CoverageLedger::Coverage moved;
+    };
+
+    /** One boundary of a closed period (a cycle), and what the walk
+     *  does from it to the next one. */
+    struct CycleStep
+    {
+        WalkState state;
+        Time dt = 0;            ///< until the next boundary
+        std::int64_t steps = 0; ///< steps completed by then
+        std::size_t first = 0;  ///< its additions: cycle_adds_[first,
+        std::size_t last = 0;   ///< last), in their order
     };
 
     /** Change the DP degree to @p dp and price the step and the
@@ -574,11 +704,12 @@ class TrainRunSim::RunState
     }
 
     /**
-     * The step price now. Cuts @p steps to the first step after which
-     * an unmitigated straggler is detected: the price walk is the only
-     * walk of stragglers_ a segment makes before it ends.
+     * The step price now, before warmup and drain contention. Cuts
+     * @p steps to the first step after which an unmitigated straggler
+     * is detected: the price walk is the only walk of stragglers_ a
+     * segment makes before it ends.
      */
-    double currentStepSeconds(std::int64_t &steps) const
+    double stepPrice(std::int64_t &steps) const
     {
         // Any displaced rank stretches its DP group's collectives over
         // the oversubscribed spine; synchronized training makes the
@@ -606,12 +737,7 @@ class TrainRunSim::RunState
             s = std::max(s, eff * job_.degradedStepSeconds(active) /
                                 base_step_s_);
         s = std::max(s, eff * worst_residual);
-        s *= flapMultiplier();
-        if (warmup_left_ > 0)
-            s *= cfg_.restart.warmup_slowdown;
-        if (drain_active_)
-            s *= cfg_.storage.async.drain_step_slowdown;
-        return s;
+        return s * flapMultiplier();
     }
 
     /**
@@ -639,13 +765,272 @@ class TrainRunSim::RunState
                           next->id < stamp)))
                 return;
             now_ = end;
-            if (drain)
+            ++rep_.walked_work;
+            if (drain) {
                 onDrainDone();
-            else if (steps_left_ > 0)
+            } else if (steps_left_ > 0) {
                 onStepsDone();
-            else
+            } else {
                 onWriteDone();
+                if (running_ && steps_left_ > 0 &&
+                    (recording_ || !cycle_.empty()))
+                    atBoundary(next);
+            }
         }
+    }
+
+    /**
+     * An interrupt may have changed anything a period repeats: record
+     * boundaries afresh. Record only when the engine's next event leaves
+     * room for about two periods, one to record and one to replay. A
+     * cycle found earlier is kept: its states say where it applies.
+     */
+    void restartRecording()
+    {
+        recorded_ = 0;
+        const std::optional<Engine::Next> next = eng_.peek();
+        recording_ = period_ > 0 &&
+                     (!next ||
+                      timeToSeconds(next->when - now_) >= min_record_s_);
+        if (recording_ && ring_.empty()) {
+            const auto n = static_cast<std::size_t>(period_);
+            ring_.resize(n);
+            log_.resize(n * kCarriesPerBoundary);
+            cycle_adds_.reserve(log_.size());
+        }
+    }
+
+    /** Whether the run is in @p state now: field for field, doubles
+     *  bit for bit, times relative to the clock (see WalkState). Exact
+     *  time equality is the point here: equal states, not a tie. */
+    bool inState(const WalkState &state) const
+    {
+        const Time drain_left = drain_active_ ? drain_end_ - now_ : -1;
+        return ledger_.sameAboveCommitted(state.ledger) &&
+               dp_now_ == state.dp && bits(price_s_) == bits(state.price_s) &&
+               ckpt_boundary_ % period_ == state.phase &&
+               steps_left_ == state.steps_left &&
+               bits(step_len_s_) == bits(state.step_len_s) &&
+               step_t_ == state.step_t &&
+               work_end_ - now_ == state.work_left && // lint:allow(time-eq)
+               drain_left == state.drain_left && write_ == state.write &&
+               bits(write_s_) == bits(state.write_s);
+    }
+
+    /** The walk state now (see WalkState). */
+    WalkState walkState() const
+    {
+        return {ledger_,
+                dp_now_,
+                price_s_,
+                ckpt_boundary_ % period_,
+                steps_left_,
+                step_len_s_,
+                step_t_,
+                work_end_ - now_,
+                drain_active_ ? drain_end_ - now_ : -1,
+                write_,
+                write_s_};
+    }
+
+    /** Put the run at a boundary in @p state at time @p at. */
+    void restore(const WalkState &state, Time at)
+    {
+        ledger_.takeAboveCommitted(state.ledger);
+        steps_left_ = state.steps_left;
+        step_len_s_ = state.step_len_s;
+        step_t_ = state.step_t;
+        work_started_ = at;
+        work_end_ = at + state.work_left;
+        work_stamp_ = eng_.nextId();
+        if (state.drain_left >= 0) {
+            // A drain that started in the replayed periods started after
+            // the engine's last event.
+            if (!drain_active_ || drain_end_ <= at)
+                drain_stamp_ = eng_.nextId();
+            drain_active_ = true;
+            drain_end_ = at + state.drain_left;
+        } else {
+            drain_active_ = false;
+        }
+        write_ = state.write;
+        write_s_ = state.write_s;
+        now_ = at;
+    }
+
+    /** Whether an unmitigated straggler counts toward its detection. */
+    bool watchingStraggler() const
+    {
+        return std::any_of(stragglers_.begin(), stragglers_.end(),
+                           [](const auto &s) { return !s.second.mitigated; });
+    }
+
+    /**
+     * A write landed and the next segment started. When the run is in
+     * the state of a boundary of the known cycle, replay from there.
+     * Otherwise record the boundary; a boundary in the state of the one
+     * recorded a cadence period earlier closes a cycle. Nothing is
+     * replayed or recorded while warmup counts down, an unmitigated
+     * straggler counts toward detection, or a finish or eviction waits
+     * for durability: each moves state a boundary does not hold.
+     */
+    void atBoundary(const std::optional<Engine::Next> &next)
+    {
+        if (warmup_left_ > 0 || finishing_ || evict_rank_ >= 0 ||
+            wait_ != AsyncWait::None || watchingStraggler()) {
+            recorded_ = 0;
+            return;
+        }
+        const auto phase = static_cast<std::size_t>(ckpt_boundary_ % period_);
+        if (!cycle_.empty() && inState(cycle_[phase].state)) {
+            replay(phase, next);
+            recorded_ = 0;
+            return;
+        }
+        if (!recording_)
+            return;
+        Boundary &slot = ring_[static_cast<std::size_t>(recorded_ % period_)];
+        if (recorded_ >= period_ && inState(slot.state) && closeCycle()) {
+            replay(phase, next);
+            recorded_ = 0;
+            return;
+        }
+        slot = Boundary{walkState(), now_, ledger_.steps(), ckpt_boundary_,
+                        carried_};
+        ++recorded_;
+    }
+
+    /**
+     * The boundary now is in the state of the one recorded a cadence
+     * period earlier, and nothing interrupted the walk between them:
+     * the recorded period is a cycle. Keep each of its boundaries, by
+     * phase, with what the walk did from it to the next. @return false
+     * when the period's additions outgrew the log, or a boundary did
+     * not move the cadence counter by exactly one (none without tiers).
+     */
+    bool closeCycle()
+    {
+        const std::uint64_t first = ring_[recorded_ % period_].carried;
+        if (carried_ - first > log_.size())
+            return false;
+        const std::int64_t step = tiered_ ? 1 : 0;
+        for (std::int64_t i = 0; i < period_; ++i) {
+            const Boundary &b = ring_[(recorded_ + i) % period_];
+            const std::int64_t next_counter =
+                i + 1 < period_ ? ring_[(recorded_ + i + 1) % period_].counter
+                                : ckpt_boundary_;
+            if (next_counter - b.counter != step)
+                return false;
+        }
+        cycle_.resize(ring_.size());
+        cycle_adds_.clear();
+        cycle_period_ = 0;
+        cycle_steps_ = 0;
+        for (std::int64_t i = 0; i < period_; ++i) {
+            const Boundary &b = ring_[(recorded_ + i) % period_];
+            const bool last = i + 1 == period_;
+            const Boundary *n =
+                last ? nullptr : &ring_[(recorded_ + i + 1) % period_];
+            CycleStep &c = cycle_[static_cast<std::size_t>(b.state.phase)];
+            c.state = b.state;
+            c.dt = (last ? now_ : n->at) - b.at;
+            c.steps = (last ? ledger_.steps() : n->steps) - b.steps;
+            c.first = cycle_adds_.size();
+            const std::uint64_t end = last ? carried_ : n->carried;
+            for (std::uint64_t a = b.carried; a < end; ++a)
+                cycle_adds_.push_back(log_[a % log_.size()]);
+            c.last = cycle_adds_.size();
+            cycle_period_ += c.dt;
+            cycle_steps_ += c.steps;
+        }
+        return true;
+    }
+
+    /**
+     * The run is at the cycle's boundary @p phase: with nothing to
+     * interrupt it, the walk from here repeats the cycle, bit for bit.
+     * Replay whole periods, then boundaries, as long as each ends
+     * strictly before the engine's next event and the next repair
+     * resume() could find, and leaves the finish and the wall limit
+     * beyond the segment it starts. A boundary is replayed by adding
+     * its recorded additions, in their order, to what carries from one
+     * period into the next (the Committed rung, the checkpoint and
+     * drain-stall buckets); then the run is put at the boundary the
+     * replay ends at, its clock, cadence counter and work in flight
+     * moved forward. The walk goes on from there.
+     */
+    void replay(std::size_t phase, const std::optional<Engine::Next> &next)
+    {
+        const Time horizon =
+            std::min(next ? next->when : kNever, repair_ready_);
+        // The most steps done at a boundary whose segment the finish
+        // does not cut.
+        const std::int64_t room = cfg_.total_steps - interval_steps_;
+        const std::int64_t periods = std::max<std::int64_t>(
+            0, std::min({(horizon - 1 - now_) / cycle_period_,
+                         (room - ledger_.steps()) / cycle_steps_,
+                         (wall_limit_ - work_end_) / cycle_period_}));
+        Time at = now_ + periods * cycle_period_;
+        std::int64_t steps = ledger_.steps() + periods * cycle_steps_;
+        const std::size_t n = cycle_.size();
+        std::size_t end = phase;
+        std::size_t partial = 0;
+        for (; partial < n; ++partial) {
+            const CycleStep &from = cycle_[end];
+            const CycleStep &to = cycle_[(end + 1) % n];
+            if (at + from.dt >= horizon || steps + from.steps > room ||
+                at + from.dt + to.state.work_left > wall_limit_)
+                break;
+            at += from.dt;
+            steps += from.steps;
+            end = (end + 1) % n;
+        }
+        if (periods == 0 && partial == 0)
+            return;
+        for (std::int64_t p = 0; p < periods; ++p)
+            for (std::size_t i = 0; i < n; ++i)
+                replayAdditions(cycle_[(phase + i) % n]);
+        for (std::size_t i = 0; i < partial; ++i)
+            replayAdditions(cycle_[(phase + i) % n]);
+        // Each boundary moved the cadence counter by one (closeCycle).
+        if (tiered_)
+            ckpt_boundary_ += periods * period_ +
+                              static_cast<std::int64_t>(partial);
+        restore(cycle_[end].state, at);
+    }
+
+    /** Add @p step's recorded additions, in their order. */
+    void replayAdditions(const CycleStep &step)
+    {
+        for (std::size_t a = step.first; a < step.last; ++a) {
+            const Carry &add = cycle_adds_[a];
+            if (add.bucket != nullptr)
+                *add.bucket += add.seconds;
+            else
+                ledger_.credit(Rung::Committed, add.moved);
+        }
+    }
+
+    /** Record @p add, when recording. */
+    void record(const Carry &add)
+    {
+        if (recording_)
+            log_[carried_++ % log_.size()] = add;
+    }
+
+    /** Add @p seconds to @p bucket, a report bucket that carries from
+     *  one period into the next. */
+    void carry(double &bucket, double seconds)
+    {
+        bucket += seconds;
+        record(Carry{&bucket, seconds, {}});
+    }
+
+    /** Fold the rungs from @p from into Committed, the rung that
+     *  carries from one period into the next. */
+    void commit(Rung from)
+    {
+        record(Carry{nullptr, 0.0, ledger_.fold(from, Rung::Committed)});
     }
 
     /**
@@ -659,6 +1044,7 @@ class TrainRunSim::RunState
         return eng_.scheduleAt(when, [this, handle] {
             now_ = eng_.now();
             handle();
+            restartRecording();
             walk();
         });
     }
@@ -702,7 +1088,12 @@ class TrainRunSim::RunState
                 1, interval_steps_ - ledger_[Rung::Tentative].steps));
         if (warmup_left_ > 0)
             steps = std::min(steps, warmup_left_);
-        step_len_s_ = currentStepSeconds(steps);
+        price_s_ = stepPrice(steps);
+        step_len_s_ = price_s_;
+        if (warmup_left_ > 0)
+            step_len_s_ *= cfg_.restart.warmup_slowdown;
+        if (drain_active_)
+            step_len_s_ *= cfg_.storage.async.drain_step_slowdown;
         step_t_ = secondsToTime(step_len_s_);
         steps = std::min(steps, (wall_limit_ - now_) / step_t_ + 1);
         steps_left_ = steps;
@@ -799,13 +1190,13 @@ class TrainRunSim::RunState
 
     void onWriteDone()
     {
-        rep_.checkpoint_seconds += write_s_;
+        carry(rep_.checkpoint_seconds, write_s_);
         running_ = false;
         switch (write_) {
           case Write::Save:
             // The completed save makes everything durable (with tiers
             // it also supersedes the local coverage).
-            ledger_.fold(Rung::Tentative, Rung::Committed);
+            commit(Rung::Tentative);
             afterDurable();
             return;
           case Write::Snapshot:
@@ -867,7 +1258,7 @@ class TrainRunSim::RunState
     {
         settleSteps();
         drain_active_ = false;
-        ledger_.fold(Rung::Pending, Rung::Committed);
+        commit(Rung::Pending);
         const AsyncWait waited = wait_;
         settleStall();
         if (waited == AsyncWait::Snapshot)
@@ -954,6 +1345,10 @@ class TrainRunSim::RunState
         outage_bucket_ = bucket;
         if (warmup)
             warmup_left_ = cfg_.restart.warmup_steps;
+        // Recoveries, regrows and migrations change what resume() would
+        // do with a ready repair, and a fatal fault submits one: replay
+        // nothing until resume() has looked again.
+        repair_ready_ = 0;
         down_ = true;
         resume_at_ = now_ + secondsToTime(detection_s + rest_s);
         resume_event_ = interruptAt(resume_at_, [this] {
@@ -1089,6 +1484,13 @@ class TrainRunSim::RunState
                 ++grew;
         }
         if (grew == 0) {
+            // Until the next outage, a later resume() finds nothing new
+            // before the next repair completes: a repair still waiting
+            // now waits for a demand only an outage can bring.
+            repair_ready_ =
+                repair_shop_.hasReady(now_)
+                    ? kNever
+                    : repair_shop_.earliestCompletion().value_or(kNever);
             scheduleSteps();
             return;
         }
@@ -1107,7 +1509,7 @@ class TrainRunSim::RunState
     {
         if (wait_ == AsyncWait::None)
             return;
-        rep_.drain_stall_seconds += timeToSeconds(now_ - stall_started_);
+        carry(rep_.drain_stall_seconds, timeToSeconds(now_ - stall_started_));
         wait_ = AsyncWait::None;
     }
 
@@ -1357,6 +1759,25 @@ class TrainRunSim::RunState
     Time resume_at_ = 0;         ///< when that restoration fires
     double outage_rest_s_ = 0.0; ///< recovery part of the outage
     double *outage_bucket_ = nullptr; ///< where it was charged
+
+    double price_s_ = 0.0;       ///< the segment's price before warmup
+                                 ///< and drain contention
+
+    // Replaying checkpoint periods (atBoundary, replay).
+    const std::int64_t period_;  ///< boundaries per period; 0: no replay
+    const double min_record_s_;  ///< the shortest stretch worth recording
+    bool recording_ = false;     ///< boundaries and additions are recorded
+    std::int64_t recorded_ = 0;  ///< boundaries recorded in a row
+    std::vector<Boundary> ring_; ///< the last period_ of them
+    std::vector<Carry> log_;     ///< the additions since, a ring
+    std::uint64_t carried_ = 0;  ///< additions recorded so far
+    std::vector<CycleStep> cycle_;   ///< the known cycle, by phase
+    std::vector<Carry> cycle_adds_;  ///< its additions
+    Time cycle_period_ = 0;          ///< its length
+    std::int64_t cycle_steps_ = 0;   ///< the steps it completes
+    /** The earliest a resume() can find a repair it has not seen (0
+     *  until one has looked since the last outage began). */
+    Time repair_ready_ = 0;
 };
 
 TrainRunReport

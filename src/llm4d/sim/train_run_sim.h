@@ -365,6 +365,17 @@ struct TrainRunReport
     std::int64_t engine_events = 0;
 
     /**
+     * Step segments, checkpoint writes and drains the run handled one
+     * at a time between its interrupts. Once a quiet stretch repeats
+     * its checkpoint period, whole periods are replayed from one
+     * period's recorded additions, which count nothing here: the count
+     * grows with the periods walked around interrupts, not with the
+     * run's length. A work count, not a result; a reused planner cell
+     * carries the reused run's count, as for engine_events.
+     */
+    std::int64_t walked_work = 0;
+
+    /**
      * The swept RecoveryPolicy knobs this run read. A run under any
      * policy that differs only in knobs outside it is this run, bit
      * for bit (sharesRun), which is how the planner shares runs.

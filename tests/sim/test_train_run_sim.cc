@@ -1735,13 +1735,15 @@ fatalOnlyWornConfig(double hotter)
 }
 
 // Reports pinned bit for bit. The first seven were computed with one
-// engine event per step, the last two with one per step segment, write
+// engine event per step, the next two with one per step segment, write
 // and drain, so they hold the walk to results of runs that scheduled
-// all their work as events. Between them the runs end segments at every
-// cadence the run controls (checkpoint, finish, warmup, straggler
-// detection, wall limit) and settle them at every interrupt it does not
-// (fatal faults, straggler onsets, flap onsets and expiries, async
-// drains).
+// all their work as events. The last nine were computed by walking
+// every checkpoint period of a quiet stretch, before periods were
+// replayed: they hold the replay to its edges. Between them the runs
+// end segments at every cadence the run controls (checkpoint, finish,
+// warmup, straggler detection, wall limit) and settle them at every
+// interrupt it does not (fatal faults, straggler onsets, flap onsets
+// and expiries, async drains).
 
 TEST(TrainRunSimGolden, FaultFreeSyncRun)
 {
@@ -1907,6 +1909,164 @@ TEST(TrainRunSimGolden, AsyncEvictionsWaitForDurability)
     EXPECT_EQ(rep.faults.stragglers, 17);
 }
 
+/**
+ * fatalOnlyWornConfig(2.0) over 6,000 steps with a checkpoint boundary
+ * every 8 steps and hierarchical tiers at their default cadence (NVMe
+ * every 4th boundary, global every 16th): a handful of fatal faults
+ * between quiet stretches of many 16-boundary periods.
+ */
+TrainRunConfig
+tieredSparseConfig(std::uint64_t seed)
+{
+    TrainRunConfig cfg = fatalOnlyWornConfig(2.0);
+    cfg.seed = seed;
+    cfg.total_steps = 6000;
+    cfg.checkpoint_interval_steps = 8;
+    cfg.storage.hier.enabled = true;
+    return cfg;
+}
+
+TEST(TrainRunSimGolden, TieredSyncAtTheDefaultCadence)
+{
+    // Five fatal faults and full restarts from NVMe or the global tier;
+    // between them, sync saves every 16th boundary.
+    expectGolden(TrainRunSim(tieredSparseConfig(1)).run(),
+                 {0x1.4c65ad405d82p+15, 0x1.06c85fae38328p+15,
+                  0x1.505ca36e5c69dp+5, 0x1.06669ade65febp+9,
+                  0x1.c56d7525c6e31p+12, 0x1.2cp+7, 0x0p+0, 92, 5, 0, 0,
+                  0, 0, 0, 5});
+}
+
+TEST(TrainRunSimGolden, TieredAsyncAtTheDefaultCadence)
+{
+    // The same faults under async snapshots every 16th boundary: two
+    // warm-spare swaps and a shrink restore from DP-peer HBM, and two
+    // host crashes restart from the global tier.
+    TrainRunConfig cfg = tieredSparseConfig(1);
+    cfg.policy = RecoveryPolicy::elastic(2);
+    cfg.policy.partial_restart = true;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.2fe3441df374dp+15, 0x1.06c85fae38327p+15,
+                  0x1.8567c428521e9p+8, 0x1.b2113798e643ap+6,
+                  0x1.e7ba290a0f787p+11, 0x1.2cp+7, 0x1.a5da77b03ac5dp+6,
+                  18, 2, 2, 1, 0, 0, 3, 5});
+}
+
+TEST(TrainRunSimGolden, RepairsLandBetweenGlobalBoundaries)
+{
+    // A one-host pool under sync saves: each repair becomes ready
+    // somewhere between two global boundaries, and the next durable
+    // boundary refills the pool (four times) or regrows the replica the
+    // dry pool shrank away (once).
+    TrainRunConfig cfg = tieredSparseConfig(1);
+    cfg.policy = RecoveryPolicy::elastic(1);
+    cfg.policy.checkpoint_mode = CheckpointMode::Sync;
+    cfg.policy.allow_regrow = true;
+    cfg.policy.partial_restart = true;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    expectGolden(rep, {0x1.452448615e02bp+15, 0x1.06c85fae38328p+15,
+                       0x1.f2f7302f3c592p+5, 0x1.40b96daaffbffp+7,
+                       0x1.bde997f8afa94p+12, 0x1.2cp+7, 0x0p+0, 16, 0, 4,
+                       1, 1, 0, 5, 5});
+    EXPECT_EQ(rep.hosts_repaired, 5);
+}
+
+TEST(TrainRunSimGolden, RepairsAfterWarmupFreeSwaps)
+{
+    // The same run without warmup steps: a swap that restores from
+    // DP-peer HBM leaves the coverage it had, so the run is back in its
+    // steady state at the first boundary after the outage, before any
+    // durable boundary has looked at the repair the fault submitted.
+    TrainRunConfig cfg = tieredSparseConfig(1);
+    cfg.restart.warmup_steps = 0;
+    cfg.policy = RecoveryPolicy::elastic(1);
+    cfg.policy.checkpoint_mode = CheckpointMode::Sync;
+    cfg.policy.allow_regrow = true;
+    cfg.policy.partial_restart = true;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    expectGolden(rep, {0x1.451376f2cbb17p+15, 0x1.06c85fae38327p+15,
+                       0x1.7964e7753081p+3, 0x1.e9bb1f95fe892p+6,
+                       0x1.c2eb275fc0594p+12, 0x1.2cp+7, 0x0p+0, 19, 0, 4,
+                       1, 1, 0, 5, 5});
+    EXPECT_EQ(rep.hosts_repaired, 5);
+}
+
+TEST(TrainRunSimGolden, SlowDetectionsSpanPeriods)
+{
+    // Two stragglers under 50x the calibrated step jitter, evicted once
+    // localized: the milder one (speed 0.94) takes ~850 degraded steps,
+    // several periods at one price, to detect.
+    TrainRunConfig cfg = tieredSparseConfig(7);
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours = 0.0;
+    cfg.job.cluster.node.host_mtbf_hours = 0.0;
+    cfg.job.cluster.node.gpu.straggler_mtbf_hours = 3000.0;
+    cfg.detection.straggler.jitter_sigma = 0.5;
+    cfg.policy.straggler_rebalance = false;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    expectGolden(rep, {0x1.4514e6d9686f4p+15, 0x1.06c85fae38328p+15,
+                       0x1.fe4f8a1692532p+5, 0x0p+0, 0x1.c7ee3c5b7afa1p+12,
+                       0x1.ep+7, 0x0p+0, 0, 2, 0, 0, 0, 0, 0, 2});
+    EXPECT_EQ(rep.faults.stragglers, 2);
+}
+
+TEST(TrainRunSimGolden, LongWarmupsSpanPeriods)
+{
+    // 400 slow warmup steps after each of five full restarts: several
+    // periods at the warmup price before the steady one.
+    TrainRunConfig cfg = tieredSparseConfig(1);
+    cfg.restart.warmup_steps = 400;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.6fe7a11afd4b4p+15, 0x1.06c85fae38328p+15,
+                  0x1.23837c92d8ap+12, 0x1.c39c2f6565b8p+8,
+                  0x1.c52d611442007p+12, 0x1.2cp+7, 0x0p+0, 66, 5, 0, 0,
+                  0, 0, 0, 5});
+}
+
+TEST(TrainRunSimGolden, FinishLandsInsideAPeriod)
+{
+    // No fault: the whole run is one stretch, and its last step lands
+    // three steps past a boundary.
+    TrainRunConfig cfg = tieredSparseConfig(1);
+    disableAllFaults(cfg);
+    cfg.total_steps = 6003;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.3eaf68bf367bp+15, 0x1.06ea028b5cd55p+15, 0x0p+0,
+                  0x0p+0, 0x1.be2b319ede7c2p+12, 0x0p+0, 0x0p+0, 0, 0, 0,
+                  0, 0, 0, 0, 0});
+}
+
+TEST(TrainRunSimGolden, WallLimitLandsInsideAPeriod)
+{
+    // No fault and async snapshots: the 4.8-hour limit cuts the one
+    // stretch between two global boundaries, losing the work after the
+    // last drained snapshot.
+    TrainRunConfig cfg = tieredSparseConfig(1);
+    disableAllFaults(cfg);
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    cfg.max_wall_days = 0.2;
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    EXPECT_FALSE(rep.completed);
+    expectGolden(rep, {0x1.0e1b92e34b9cfp+14, 0x1.d6e81800e7c79p+13,
+                       0x1.78b9accd863a2p+5, 0x1.24b0dde9e371dp+9,
+                       0x1.8c5a31d2b5efdp+10, 0x0p+0, 0x0p+0, 104, 0, 0, 0,
+                       0, 0, 0, 0});
+}
+
+TEST(TrainRunSimGolden, TieredDrainsOutlastEveryPeriod)
+{
+    // A twentieth of the filesystem bandwidth drains a snapshot in
+    // ~1,500 s, about two 16-boundary periods: every global boundary
+    // stalls on the single snapshot buffer.
+    TrainRunConfig cfg = tieredSparseConfig(5);
+    cfg.storage.write_gbps_per_host = 0.05;
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    expectGolden(TrainRunSim(cfg).run(),
+                 {0x1.1ae02bd7a35dap+16, 0x1.06c85fae38328p+15,
+                  0x1.f563b06a1b5c2p+9, 0x1.18ad4fe201b1ep+8,
+                  0x1.ac0267e190b11p+11, 0x1.68p+7, 0x1.fff6c9d436df6p+14,
+                  47, 6, 0, 0, 0, 0, 0, 6});
+}
+
 TEST(JobPricingGolden, DisplacementSlowdownPerSpineOversubscription)
 {
     // A displaced rank runs the NIC-bound share of the step at
@@ -2028,7 +2188,7 @@ TEST(JobPricing, PricesTheLowestAcceptedSpineCapacity)
 }
 
 /** @p rep without what its NIC flaps own: their timeline entries, their
- *  count, and the engine events they took. */
+ *  count, and the engine events and walked work they took. */
 TrainRunReport
 withoutFlaps(TrainRunReport rep)
 {
@@ -2037,6 +2197,7 @@ withoutFlaps(TrainRunReport rep)
     });
     rep.faults.link_flaps = 0;
     rep.engine_events = 0;
+    rep.walked_work = 0;
     return rep;
 }
 
@@ -2071,6 +2232,53 @@ TEST(TrainRunSim, FullCapacityFlapsChangeNothing)
             << rep.faults.link_flaps << " flaps";
     }
     EXPECT_GT(flaps, 200);
+}
+
+TEST(TrainRunSim, FullCapacityFlapsCutReplaysAndChangeNothing)
+{
+    // Inert interrupts on long quiet stretches. A flap at full link
+    // capacity prices no step, but its onset and its expiry are engine
+    // events: each ends a walk at a random point of a checkpoint period,
+    // so a replay stops short of it and the walk goes on from there.
+    // Every field the flaps do not own must equal the flap-free run's.
+    // The runs are sparse-fault tiered runs at the default cadence, whose
+    // flap-free stretches replay most of their periods: they walk fewer
+    // segments, writes and drains than they have boundaries.
+    TrainRunConfig flapping = tieredSparseConfig(1);
+    flapping.job.cluster.node.nic_flap_mtbf_hours = 100.0;
+    flapping.faults.flap_capacity_lo = 1.0;
+    flapping.faults.flap_capacity_hi = 1.0;
+    const TrainRunSim flapping_job(flapping);
+    const TrainRunSim flap_free_job(tieredSparseConfig(1));
+    Rng rng(20261025);
+    std::int64_t flaps = 0;
+    for (int i = 0; i < 12; ++i) {
+        TrainRunConfig cfg = tieredSparseConfig(
+            static_cast<std::uint64_t>(rng.uniformInt(1, 1000000)));
+        RecoveryPolicy &p = cfg.policy;
+        p.checkpoint_mode =
+            rng.bernoulli(0.5) ? CheckpointMode::Async : CheckpointMode::Sync;
+        if (rng.bernoulli(0.75)) {
+            p.mode = RecoveryMode::WarmSpare;
+            p.spare_hosts = rng.uniformInt(0, 2);
+            p.allow_dp_shrink = rng.bernoulli(0.5);
+            p.allow_regrow = rng.bernoulli(0.5);
+            p.partial_restart = rng.bernoulli(0.5);
+        }
+        const TrainRunReport base = TrainRunSim(cfg, flap_free_job).run();
+        EXPECT_LT(base.walked_work,
+                  cfg.total_steps / cfg.checkpoint_interval_steps)
+            << "config " << i;
+        cfg.job = flapping.job;
+        cfg.faults = flapping.faults;
+        const TrainRunReport rep = TrainRunSim(cfg, flapping_job).run();
+        flaps += rep.faults.link_flaps;
+        EXPECT_TRUE(withoutFlaps(rep) == withoutFlaps(base))
+            << "config " << i << ": wall " << base.wall_seconds
+            << " s became " << rep.wall_seconds << " s with "
+            << rep.faults.link_flaps << " flaps";
+    }
+    EXPECT_GT(flaps, 100);
 }
 
 /** wornFleetConfig with NIC flaps, all at link capacity @p capacity, as
@@ -2183,6 +2391,30 @@ TEST(TrainRunSim, FaultFreeRunsTakeNoEngineEvent)
                     << " at interval " << interval;
             }
         }
+    }
+}
+
+TEST(TrainRunSim, FaultFreeTieredRunWalksAboutThreePeriods)
+{
+    // A fault-free run is one quiet stretch of 750 boundaries, 47
+    // periods of 16 at the default cadence. The walk records boundaries
+    // until one is where the boundary a period before it was, then
+    // replays to the last boundary the finish leaves room for, and
+    // walks the rest: at most about three periods. A period walks a
+    // segment and a tier write per boundary, plus a global save, or a
+    // snapshot and the drain that cuts a segment in two.
+    for (const CheckpointMode mode :
+         {CheckpointMode::Sync, CheckpointMode::Async}) {
+        TrainRunConfig cfg = wornFleetConfig();
+        disableAllFaults(cfg);
+        cfg.total_steps = 6000;
+        cfg.checkpoint_interval_steps = 8;
+        cfg.storage.hier.enabled = true;
+        cfg.policy.checkpoint_mode = mode;
+        const TrainRunReport rep = TrainRunSim(cfg).run();
+        ASSERT_TRUE(rep.completed);
+        const std::int64_t per_period = 2 * 16 + 3;
+        EXPECT_LE(rep.walked_work, 3 * per_period) << toString(mode);
     }
 }
 
