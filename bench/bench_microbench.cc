@@ -1,10 +1,11 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the library itself: schedule
- * generation/execution, collective pricing, executable CP attention,
- * full training-step simulation, a straggler rerun, the multi-day run
- * loop, and a goodput-planning question. These guard the simulator's
- * own performance (an 8K-GPU imbalance sweep must stay interactive).
+ * generation, checking and execution, collective pricing, executable CP
+ * attention, full training-step simulation, a straggler reprice, the
+ * multi-day run loop, and a goodput-planning question. These guard the
+ * simulator's own performance (an 8K-GPU imbalance sweep must stay
+ * interactive).
  */
 
 #include <benchmark/benchmark.h>
@@ -66,6 +67,22 @@ BM_TimeSchedule(benchmark::State &state)
 BENCHMARK(BM_TimeSchedule)->Arg(16)->Arg(64);
 
 void
+BM_CheckSchedule(benchmark::State &state)
+{
+    // The check LegalSchedule::check runs when a TrainSim is built, its
+    // tape included (only the move of the schedule is left out), at
+    // run_degraded's shape (pp 16, v 8, nmb 16) and with eight times the
+    // micro-batches.
+    const Schedule s =
+        buildFlexible(ScheduleParams{16, 8, state.range(0), 16});
+    for (auto _ : state) {
+        LegalityResult legal = checkSchedule(s);
+        benchmark::DoNotOptimize(legal.tape.data());
+    }
+}
+BENCHMARK(BM_CheckSchedule)->Arg(16)->Arg(128)->Unit(benchmark::kMicrosecond);
+
+void
 BM_CollectivePricing(benchmark::State &state)
 {
     const ClusterSpec spec = ClusterSpec::llama3Production(16384);
@@ -113,10 +130,11 @@ BENCHMARK(BM_TrainStepSimulation);
 void
 BM_StragglerRerun(benchmark::State &state)
 {
-    // A straggler set priced the way a degraded run prices it: one rerun
-    // of a built TrainSim under a changed PerfVariation. The job is
-    // Table 2's 131K row (tp8/cp16/pp16/dp8) with 4K-mean document
-    // masks; each iteration slows a different pipeline stage.
+    // A straggler set priced the way a degraded run prices it: one
+    // makespan-only reprice (TrainSim::stepSeconds) of a built TrainSim
+    // under a changed PerfVariation. The job is Table 2's 131K row
+    // (tp8/cp16/pp16/dp8) with 4K-mean document masks; each iteration
+    // slows a different pipeline stage.
     TrainJobConfig job;
     job.par = ParallelismConfig{8, 16, 16, 8};
     job.seq = 131072;
@@ -130,8 +148,8 @@ BM_StragglerRerun(benchmark::State &state)
             grid.rankOf(RankCoord{0, 0, stage, 0}), 0.7);
     std::size_t i = 0;
     for (auto _ : state) {
-        const TrainStepReport rep = sim.run(perfs[i++ % perfs.size()]);
-        benchmark::DoNotOptimize(rep.step_seconds);
+        const double step = sim.stepSeconds(perfs[i++ % perfs.size()]);
+        benchmark::DoNotOptimize(step);
     }
 }
 BENCHMARK(BM_StragglerRerun)->Unit(benchmark::kMicrosecond);

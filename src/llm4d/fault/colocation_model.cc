@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "llm4d/simcore/common.h"
 #include "llm4d/simcore/rng_streams.h"
@@ -10,8 +9,6 @@
 namespace llm4d {
 
 namespace {
-
-constexpr Time kNever = std::numeric_limits<Time>::max();
 
 constexpr double kLn2 = 0.6931471805599453;
 
@@ -93,11 +90,9 @@ PodHeatModel::sampleOnset(Time after)
     Time t = after;
     double total_rate = 0.0;
     for (;;) {
-        const double gap_s = arrival_rng_.exponential(1.0 / rate_max);
-        const Time gap = std::max<Time>(1, secondsToTime(gap_s));
-        LLM4D_ASSERT(t <= kNever - gap,
-                     "straggler timeline overflowed simulated time");
-        t += gap;
+        t += drawnDuration(t, arrival_rng_.exponential(1.0 / rate_max));
+        if (t == kNever) // lint:allow(time-eq)
+            return CorrelatedOnset{.when = kNever};
         total_rate = 0.0;
         for (std::int64_t p = 0; p < numPods(); ++p)
             total_rate += onsetRatePerSecond(p, t);

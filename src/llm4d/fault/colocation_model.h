@@ -107,7 +107,9 @@ class PodHeatModel
                  double base_rate_per_second, double severity_lo,
                  double severity_hi, std::uint64_t seed);
 
-    /** Next onset strictly after @p after; advances the heat ledger. */
+    /** Next onset strictly after @p after; advances the heat ledger.
+     *  An onset past the end of the clock comes back at kNever, with no
+     *  victim drawn and the ledger untouched. */
     [[nodiscard]] CorrelatedOnset sampleOnset(Time after);
 
     /** Heat of @p pod at time @p at (lazy exponential decay applied). */

@@ -1,7 +1,6 @@
 #include "llm4d/fault/fault_model.h"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "llm4d/simcore/common.h"
@@ -10,8 +9,6 @@
 namespace llm4d {
 
 namespace {
-
-constexpr Time kNever = std::numeric_limits<Time>::max();
 
 constexpr double kSecondsPerHour = 3600.0;
 
@@ -147,11 +144,10 @@ void
 FaultModel::advance(int k)
 {
     ClassState &cs = classes_[k];
-    const double gap_s = cs.rng.exponential(1.0 / cs.rate_per_second);
-    const Time gap = std::max<Time>(1, secondsToTime(gap_s));
-    LLM4D_ASSERT(cs.next_at <= kNever - gap,
-                 "fault timeline overflowed simulated time");
-    cs.next_at += gap;
+    // A gap past the end of the clock lands on kNever: the class never
+    // fires again.
+    cs.next_at += drawnDuration(
+        cs.next_at, cs.rng.exponential(1.0 / cs.rate_per_second));
 }
 
 FaultEvent
@@ -167,6 +163,8 @@ FaultModel::next()
         if (best < 0 || classes_[k].next_at < classes_[best].next_at)
             best = k;
     }
+    if (best < 0) // every enabled class has drawn past the end of the clock
+        return FaultEvent{.when = kNever};
     ClassState &cs = classes_[best];
     FaultEvent ev;
     ev.kind = static_cast<FaultKind>(best);
@@ -192,9 +190,9 @@ FaultModel::next()
       case FaultKind::LinkFlap:
         ev.severity = cs.rng.uniform(tuning_.flap_capacity_lo,
                                      tuning_.flap_capacity_hi);
-        ev.duration = std::max<Time>(
-            1, secondsToTime(
-                   cs.rng.exponential(tuning_.flap_duration_mean_s)));
+        // A flap lasts at most to the end of the clock.
+        ev.duration = drawnDuration(
+            ev.when, cs.rng.exponential(tuning_.flap_duration_mean_s));
         break;
       case FaultKind::GpuFatal:
       case FaultKind::HostCrash:

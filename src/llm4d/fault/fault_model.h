@@ -142,7 +142,12 @@ class FaultModel
     FaultModel(const ClusterSpec &cluster, const FaultTuning &tuning,
                std::uint64_t seed);
 
-    /** Next failure event, strictly ordered by time (FIFO on ties). */
+    /**
+     * Next failure event, strictly ordered by time (FIFO on ties). A
+     * class whose next arrival would fall past the end of the clock never
+     * fires again; once every enabled class is past it, the event is at
+     * kNever, which no run reaches.
+     */
     FaultEvent next();
 
     /** True when every class is disabled (the fault-free baseline). */

@@ -71,10 +71,10 @@ RepairModel::submit(const FaultEvent &fault)
     const double turnaround_s =
         rng.exponential(mean_hours * kSecondsPerHour) *
         rng.uniform(tuning_.requalify_lo, tuning_.requalify_hi);
-    const Time took = std::max<Time>(1, secondsToTime(turnaround_s));
     RepairComplete done;
     done.kind = fault.kind;
-    done.when = fault.when + took;
+    // A turnaround past the end of the clock never completes.
+    done.when = fault.when + drawnDuration(fault.when, turnaround_s);
     done.component = fault.component;
     pending_.emplace(done.when, done);
 }

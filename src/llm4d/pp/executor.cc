@@ -136,26 +136,36 @@ class InFlightLedger
     std::int64_t peak_ = 0;
 };
 
+/** What a walk keeps besides the makespan. */
+enum class Keep
+{
+    Makespan, ///< the makespan alone
+    Timing,   ///< every ExecTiming field
+    Records,  ///< every ExecTiming field and each op's record
+};
+
 /**
- * Times @p schedule under @p prices by walking @p order, a legality
- * replay's order, so each op's producers are already timed when it is
- * reached. Any order that keeps each rank's program order and puts every
- * producer first gives the same integer times. When @p streams is set,
- * also appends each op's record to its rank's stream, in program order.
+ * Times a checked schedule of shape @p p under @p prices by walking
+ * @p tape, its legality replay's tape, so each op's producers are
+ * already timed when it is reached. Any order that keeps each rank's
+ * program order and puts every producer first gives the same integer
+ * times. Under Keep::Records, also appends each op's record to its
+ * rank's stream in @p streams, in program order.
  */
+template <Keep kKeep>
 ExecTiming
-walk(const Schedule &schedule, const std::vector<RankRun> &order,
+walk(const ScheduleParams &p, const std::vector<TapeEntry> &tape,
      const ExecPrices &prices, std::vector<std::vector<OpRecord>> *streams)
 {
-    const ScheduleParams &p = schedule.params();
+    constexpr bool kTiming = kKeep != Keep::Makespan;
     const auto pp = static_cast<std::size_t>(p.pp);
     const auto nmb = static_cast<std::size_t>(p.nmb);
     const auto cells = static_cast<std::size_t>(p.numStages()) * nmb;
-    const std::int64_t last_stage = p.numStages() - 1;
     LLM4D_CHECK(prices.stage.size() == cells &&
                     prices.p2p_from_prev.size() == pp &&
                     prices.p2p_from_next.size() == pp,
                 "ExecPrices tables do not match the schedule's shape");
+    LLM4D_ASSERT(tape.size() == 2 * cells, "tape misses ops");
 
     // Neighbour hand-offs in integer time, each price checked once.
     std::vector<Time> from_prev(pp), from_next(pp);
@@ -170,58 +180,58 @@ walk(const Schedule &schedule, const std::vector<RankRun> &order,
     std::vector<Time> fwd_end(cells, 0);
     std::vector<Time> bwd_end(cells, 0);
     std::vector<Time> rank_free(pp, 0);
-    std::vector<std::size_t> pc(pp, 0);
-    std::vector<InFlightLedger> in_flight(pp);
+    std::vector<InFlightLedger> in_flight(kTiming ? pp : 0);
 
     ExecTiming timing;
-    timing.busy.assign(pp, 0);
-    for (const RankRun &run : order) {
-        const auto ri = static_cast<std::size_t>(run.rank);
-        const std::vector<PipeOp> &prog = schedule.program(run.rank);
-        for (std::int64_t n = 0; n < run.ops; ++n) {
-            const PipeOp &op = prog[pc[ri]++];
-            const std::int64_t g = schedule.globalStage(run.rank, op.stage);
-            const std::size_t cell =
-                static_cast<std::size_t>(g) * nmb +
-                static_cast<std::size_t>(op.mb);
-            const bool fwd = op.kind == PipeOpKind::Forward;
-            // Forward: the previous stage's forward plus its hand-off.
-            // Backward: its own forward, and the next stage's backward
-            // plus its hand-off.
-            Time ready = 0;
-            if (fwd) {
-                if (g > 0)
-                    ready = fwd_end[cell - nmb] + from_prev[ri];
-            } else {
-                ready = fwd_end[cell];
-                if (g < last_stage)
-                    ready = std::max(ready,
-                                     bwd_end[cell + nmb] + from_next[ri]);
-            }
-            const double dur_s = fwd ? prices.stage[cell].fwd_seconds
-                                     : prices.stage[cell].bwd_seconds;
-            LLM4D_ASSERT(dur_s >= 0.0, "negative stage cost");
-            const Time start = std::max(rank_free[ri], ready);
-            const Time end = start + secondsToTime(dur_s);
-            rank_free[ri] = end;
+    if constexpr (kTiming)
+        timing.busy.assign(pp, 0);
+    for (const TapeEntry &op : tape) {
+        const std::size_t ri = op.rank;
+        const std::size_t cell = op.cell;
+        // Forward: the previous stage's forward plus its hand-off.
+        // Backward: its own forward, and the next stage's backward plus
+        // its hand-off.
+        Time ready = 0;
+        if (op.forward) {
+            if (op.reads_neighbour)
+                ready = fwd_end[cell - nmb] + from_prev[ri];
+        } else {
+            ready = fwd_end[cell];
+            if (op.reads_neighbour)
+                ready =
+                    std::max(ready, bwd_end[cell + nmb] + from_next[ri]);
+        }
+        const double dur_s = op.forward ? prices.stage[cell].fwd_seconds
+                                        : prices.stage[cell].bwd_seconds;
+        LLM4D_ASSERT(dur_s >= 0.0, "negative stage cost");
+        const Time start = std::max(rank_free[ri], ready);
+        const Time end = start + secondsToTime(dur_s);
+        rank_free[ri] = end;
+        (op.forward ? fwd_end : bwd_end)[cell] = end;
+        if constexpr (kTiming) {
             timing.busy[ri] += end - start;
-            (fwd ? fwd_end : bwd_end)[cell] = end;
             // A backward's end is no later than the next op's start,
             // so the rank's ledger events stay in time order.
-            if (fwd)
+            if (op.forward)
                 in_flight[ri].alloc(start);
             else
                 in_flight[ri].free(end);
-            if (streams)
-                (*streams)[ri].push_back(OpRecord{run.rank, op, start, end});
-            timing.makespan = std::max(timing.makespan, end);
+        }
+        if constexpr (kKeep == Keep::Records) {
+            const std::size_t g = cell / nmb;
+            const PipeOp pipe_op{op.forward ? PipeOpKind::Forward
+                                            : PipeOpKind::Backward,
+                                 static_cast<std::int64_t>(g / pp),
+                                 static_cast<std::int64_t>(cell % nmb)};
+            (*streams)[ri].push_back(OpRecord{op.rank, pipe_op, start, end});
         }
     }
+    // Each rank's ops end in program order, so its last end is its
+    // latest.
     for (std::size_t r = 0; r < pp; ++r) {
-        const auto rank = static_cast<std::int64_t>(r);
-        LLM4D_ASSERT(pc[r] == schedule.program(rank).size(),
-                     "legality order skipped ops of rank " << r);
-        timing.in_flight_peak.push_back(in_flight[r].peak());
+        timing.makespan = std::max(timing.makespan, rank_free[r]);
+        if constexpr (kTiming)
+            timing.in_flight_peak.push_back(in_flight[r].peak());
     }
     return timing;
 }
@@ -255,7 +265,16 @@ tabulate(const Schedule &schedule, const ExecConfig &config)
 ExecTiming
 timeSchedule(const LegalSchedule &schedule, const ExecPrices &prices)
 {
-    return walk(schedule.schedule(), schedule.order(), prices, nullptr);
+    return walk<Keep::Timing>(schedule.params(), schedule.tape(), prices,
+                              nullptr);
+}
+
+Time
+timeMakespan(const LegalSchedule &schedule, const ExecPrices &prices)
+{
+    return walk<Keep::Makespan>(schedule.params(), schedule.tape(), prices,
+                                nullptr)
+        .makespan;
 }
 
 ExecResult
@@ -271,7 +290,8 @@ executeSchedule(const Schedule &schedule, const ExecConfig &config)
     for (auto &stream : streams)
         stream.reserve(static_cast<std::size_t>(2 * p.tmb()));
     ExecResult result{
-        walk(schedule, legal.order, tabulate(schedule, config), &streams),
+        walk<Keep::Records>(p, legal.tape, tabulate(schedule, config),
+                            &streams),
         {}};
 
     // Merge the streams by (start, rank): a min-heap over each rank's

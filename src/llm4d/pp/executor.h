@@ -17,12 +17,16 @@
  * Idle gaps that open on the critical path are exactly the pipeline
  * bubbles of Figures 3 and 9.
  *
- * Both entry points run one loop: it walks the order in which the
- * legality check completed the ops (LegalSchedule::order()), so every
- * producer is timed before its consumer and no readiness is polled, and
- * it reads each price from an ExecPrices table. timeSchedule() returns
- * only the timings; executeSchedule() also builds the per-op records the
- * timeline and memory views read.
+ * Every entry point runs one flat loop over the schedule's tape, the
+ * order in which the legality check completed the ops
+ * (LegalSchedule::tape()): each entry carries its price cell, rank and
+ * direction, so every producer is timed before its consumer, no
+ * readiness is polled and no per-rank program is read. Each price comes
+ * from an ExecPrices table. A compile-time flag of that loop chooses
+ * what it keeps: timeMakespan() keeps the makespan alone (no busy sums,
+ * no in-flight ledgers), timeSchedule() the timings, and
+ * executeSchedule() also the per-op records the timeline and memory
+ * views read.
  */
 
 #include <functional>
@@ -133,8 +137,15 @@ struct ExecResult : ExecTiming
 ExecTiming timeSchedule(const LegalSchedule &schedule,
                         const ExecPrices &prices);
 
-/** Execute @p schedule under @p config, with records. Aborts on illegal
- *  schedules. */
+/**
+ * timeSchedule(@p schedule, @p prices).makespan, computed by the same
+ * loop without the busy sums and in-flight ledgers: what a step's
+ * duration reads.
+ */
+Time timeMakespan(const LegalSchedule &schedule, const ExecPrices &prices);
+
+/** Execute @p schedule under @p config, with records: checks it on every
+ *  call and aborts if it is illegal. */
 ExecResult executeSchedule(const Schedule &schedule,
                            const ExecConfig &config);
 

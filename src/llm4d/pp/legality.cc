@@ -1,5 +1,6 @@
 #include "llm4d/pp/legality.h"
 
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -24,6 +25,10 @@ checkSchedule(const Schedule &schedule)
 {
     const ScheduleParams &p = schedule.params();
     const std::int64_t cells = p.numStages() * p.nmb;
+    LLM4D_CHECK(cells <= std::numeric_limits<std::uint32_t>::max() &&
+                    p.pp <= std::numeric_limits<std::uint16_t>::max(),
+                "schedule shape pp=" << p.pp << " cells=" << cells
+                                     << " does not fit a tape entry");
 
     // --- Structural check: every cell exactly once per direction. ---
     std::vector<int> fwd_seen(static_cast<std::size_t>(cells), 0);
@@ -67,43 +72,67 @@ checkSchedule(const Schedule &schedule)
     }
 
     // --- Progress check: replay with data-availability semantics. ---
-    std::vector<bool> fwd_done(static_cast<std::size_t>(cells), false);
-    std::vector<bool> bwd_done(static_cast<std::size_t>(cells), false);
+    // Each rank runs its program until its next op's inputs are not all
+    // done, and then blocks. A forward of global stage g reads the
+    // forward of g - 1, which rank (r - 1) mod pp runs. A backward reads
+    // its own forward and the backward of g + 1, which rank
+    // (r + 1) mod pp runs. Every op of rank r has g = r (mod pp), so the
+    // own forward is later in r's program if it is not done: that wait
+    // never ends. So only a completion on a pipeline neighbour can
+    // release a blocked rank: a finished forward can only release rank
+    // (r + 1) mod pp, and a finished backward rank (r - 1) mod pp. The
+    // replay wakes exactly that rank, if it is blocked, and the woken
+    // rank retries its op. No wake-up is lost, each costs O(1), and the
+    // ops that complete are the same fixpoint in any visiting order, so
+    // a deadlock names the same rank and op whichever rank runs first.
+    const auto nmb = static_cast<std::size_t>(p.nmb);
+    const std::int64_t last_stage = p.numStages() - 1;
+    std::vector<char> fwd_done(static_cast<std::size_t>(cells), 0);
+    std::vector<char> bwd_done(static_cast<std::size_t>(cells), 0);
     std::vector<std::size_t> pc(static_cast<std::size_t>(p.pp), 0);
-    LegalityResult result{true, "", {}};
-
-    auto ready = [&](std::int64_t rank, const PipeOp &op) {
-        const std::int64_t g = schedule.globalStage(rank, op.stage);
-        if (op.kind == PipeOpKind::Forward) {
-            return g == 0 || fwd_done[cellIndex(p, g - 1, op.mb)];
+    std::vector<char> blocked(static_cast<std::size_t>(p.pp), 0);
+    std::vector<std::int64_t> runnable;
+    runnable.reserve(static_cast<std::size_t>(p.pp));
+    for (std::int64_t r = p.pp - 1; r >= 0; --r)
+        runnable.push_back(r);
+    const auto wake = [&](std::int64_t r) {
+        char &b = blocked[static_cast<std::size_t>(r)];
+        if (b) {
+            b = 0;
+            runnable.push_back(r);
         }
-        if (!fwd_done[cellIndex(p, g, op.mb)])
-            return false;
-        return g == p.numStages() - 1 ||
-               bwd_done[cellIndex(p, g + 1, op.mb)];
     };
 
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (std::int64_t r = 0; r < p.pp; ++r) {
-            const auto &prog = schedule.program(r);
-            auto &cursor = pc[static_cast<std::size_t>(r)];
-            const std::size_t first = cursor;
-            while (cursor < prog.size() && ready(r, prog[cursor])) {
-                const PipeOp &op = prog[cursor];
-                const std::int64_t g = schedule.globalStage(r, op.stage);
-                auto &done =
-                    op.kind == PipeOpKind::Forward ? fwd_done : bwd_done;
-                done[cellIndex(p, g, op.mb)] = true;
-                ++cursor;
-            }
-            if (cursor > first) {
-                result.order.push_back(
-                    {r, static_cast<std::int64_t>(cursor - first)});
-                progress = true;
-            }
+    LegalityResult result{true, "", {}};
+    result.tape.reserve(static_cast<std::size_t>(2 * p.tmb() * p.pp));
+    while (!runnable.empty()) {
+        const std::int64_t r = runnable.back();
+        runnable.pop_back();
+        const std::vector<PipeOp> &prog = schedule.program(r);
+        std::size_t &cursor = pc[static_cast<std::size_t>(r)];
+        for (; cursor < prog.size(); ++cursor) {
+            const PipeOp &op = prog[cursor];
+            const std::int64_t g = schedule.globalStage(r, op.stage);
+            const std::size_t cell = cellIndex(p, g, op.mb);
+            const bool fwd = op.kind == PipeOpKind::Forward;
+            const bool reads_neighbour = fwd ? g > 0 : g < last_stage;
+            const bool ready =
+                fwd ? !reads_neighbour || fwd_done[cell - nmb]
+                    : fwd_done[cell] &&
+                          (!reads_neighbour || bwd_done[cell + nmb]);
+            if (!ready)
+                break;
+            (fwd ? fwd_done : bwd_done)[cell] = 1;
+            result.tape.push_back({static_cast<std::uint32_t>(cell),
+                                   static_cast<std::uint16_t>(r), fwd,
+                                   reads_neighbour});
+            if (fwd)
+                wake(r + 1 == p.pp ? 0 : r + 1);
+            else
+                wake(r == 0 ? p.pp - 1 : r - 1);
         }
+        if (cursor < prog.size())
+            blocked[static_cast<std::size_t>(r)] = 1;
     }
 
     for (std::int64_t r = 0; r < p.pp; ++r) {
@@ -122,17 +151,18 @@ checkSchedule(const Schedule &schedule)
     return result;
 }
 
-LegalSchedule::LegalSchedule(Schedule schedule, std::vector<RankRun> order)
-    : schedule_(std::move(schedule)), order_(std::move(order))
+LegalSchedule::LegalSchedule(ScheduleParams params,
+                             std::vector<TapeEntry> tape)
+    : params_(params), tape_(std::move(tape))
 {
 }
 
 LegalSchedule
-LegalSchedule::check(Schedule schedule)
+LegalSchedule::check(const Schedule &schedule)
 {
     LegalityResult legal = checkSchedule(schedule);
     LLM4D_CHECK(legal.legal, "illegal schedule: " << legal.reason);
-    return LegalSchedule(std::move(schedule), std::move(legal.order));
+    return LegalSchedule(schedule.params(), std::move(legal.tape));
 }
 
 } // namespace llm4d

@@ -9,9 +9,11 @@
  * forward and backward appears exactly once, on the rank that hosts the
  * stage, and (b) executing each rank's stream in order — blocking on data
  * from neighbour stages — makes progress to completion (no deadlock).
- * The checker is the only owner of that dependency semantics: its replay
- * records the order in which it completed the ops, and the timed
- * executor walks that order instead of polling readiness itself.
+ * The checker is the only owner of that dependency semantics, and the
+ * only writer of a schedule's *tape*: its replay appends each op as it
+ * completes, with the price cell, rank and direction the timed executor
+ * reads, so the executor walks the tape in one flat loop instead of
+ * polling readiness or interpreting the per-rank programs itself.
  */
 
 #include <cstdint>
@@ -22,12 +24,18 @@
 
 namespace llm4d {
 
-/** Consecutive ops of one rank's program: its next @p ops ops. */
-struct RankRun
+/** One op of a checked schedule, as the timed executor reads it. */
+struct TapeEntry
 {
-    std::int64_t rank = 0;
-    std::int64_t ops = 0;
+    std::uint32_t cell = 0; ///< price cell: global stage * nmb + mb
+    std::uint16_t rank = 0; ///< pipeline rank that runs the op
+    bool forward = false;   ///< direction
+    /** Reads a neighbouring stage's output: the previous stage's forward
+     *  (a forward past stage 0) or the next stage's backward (a backward
+     *  before the last stage). */
+    bool reads_neighbour = false;
 };
+static_assert(sizeof(TapeEntry) == 8, "a tape entry packs into 8 bytes");
 
 /** Result of a legality check. */
 struct LegalityResult
@@ -36,11 +44,11 @@ struct LegalityResult
     std::string reason; ///< empty when legal; diagnostic otherwise
 
     /**
-     * When legal, the order in which the replay completed every op, as
-     * runs of consecutive ops per rank: each rank's program exactly once,
-     * in program order, and every op after the ops it reads from.
+     * When legal, every op in the order the replay completed it: each
+     * rank's program exactly once, in program order, and every op after
+     * the ops it reads from.
      */
-    std::vector<RankRun> order;
+    std::vector<TapeEntry> tape;
 
     explicit operator bool() const { return legal; }
 };
@@ -49,27 +57,30 @@ struct LegalityResult
 LegalityResult checkSchedule(const Schedule &schedule);
 
 /**
- * A schedule that checkSchedule accepted. Only check() builds one, so
- * holding a LegalSchedule is the proof of legality: it can be executed
- * any number of times without being checked again.
+ * A schedule that checkSchedule accepted, compiled to its tape. Only
+ * check() builds one, so holding a LegalSchedule is the proof of
+ * legality: it can be executed any number of times without being
+ * checked again. It keeps only what the executor reads, the shape and
+ * the tape, not the per-rank programs.
  */
 class LegalSchedule
 {
   public:
     /** Check @p schedule; aborts with the checker's reason if illegal. */
-    static LegalSchedule check(Schedule schedule);
+    static LegalSchedule check(const Schedule &schedule);
 
-    const Schedule &schedule() const { return schedule_; }
+    /** The checked schedule's shape. */
+    const ScheduleParams &params() const { return params_; }
 
-    /** The order the check's replay completed the ops in (see
-     *  LegalityResult::order); the executor walks it. */
-    const std::vector<RankRun> &order() const { return order_; }
+    /** The check's tape (see LegalityResult::tape); the executor walks
+     *  it. */
+    const std::vector<TapeEntry> &tape() const { return tape_; }
 
   private:
-    LegalSchedule(Schedule schedule, std::vector<RankRun> order);
+    LegalSchedule(ScheduleParams params, std::vector<TapeEntry> tape);
 
-    Schedule schedule_;
-    std::vector<RankRun> order_;
+    ScheduleParams params_;
+    std::vector<TapeEntry> tape_;
 };
 
 } // namespace llm4d

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -197,9 +196,6 @@ class CoverageLedger
 constexpr std::array<Rung, kNumCheckpointTiers> kRestorePoint = {
     Rung::Hbm, Rung::Nvme, Rung::Committed};
 
-/** A time no event or repair reaches. */
-constexpr Time kNever = std::numeric_limits<Time>::max();
-
 /** The longest cadence period, in boundaries, a run records. */
 constexpr std::int64_t kMaxPeriodBoundaries = 64;
 
@@ -327,7 +323,7 @@ JobPricing::degradedStepSeconds(
         PerfVariation perf = sim_.config().perf;
         for (const auto &[rep, speed] : by_rep)
             perf.injectStraggler(rep, speed);
-        return std::max(sim_.run(perf).step_seconds, base_.step_seconds);
+        return std::max(sim_.stepSeconds(perf), base_.step_seconds);
     });
 }
 
@@ -1594,6 +1590,8 @@ class TrainRunSim::RunState
     void pumpFault()
     {
         next_fault_ = faults_.next();
+        if (next_fault_.when == kNever) // lint:allow(time-eq)
+            return; // every class has run past the end of the clock
         interruptAt(std::max(next_fault_.when, now_), [this] {
             if (finished_ || truncated_)
                 return; // queue drains; no further faults are pulled

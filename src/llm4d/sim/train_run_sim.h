@@ -397,9 +397,13 @@ struct IntervalScanPoint
 /**
  * The prices that depend on the job alone: the fault-free step, the
  * step under each straggler set, the step at each shrunk DP degree and
- * the displaced-rank slowdown. Built once per job and shared, never
- * copied, by every TrainRunSim of that job (TrainRunSim(cfg, same_job)),
- * so a planner candidate's cells price each of them once between them.
+ * the displaced-rank slowdown. A straggler set reads nothing but the
+ * step time, so it is repriced with TrainSim::stepSeconds, which times
+ * only the makespan of the job's checked schedule; the fault-free and
+ * shrunk steps keep their full reports. Built once per job and shared,
+ * never copied, by every TrainRunSim of that job (TrainRunSim(cfg,
+ * same_job)), so a planner candidate's cells price each of them once
+ * between them.
  * Thread-safe: the two lazily priced families go through a Memo, and
  * each value is a pure function of its key, so no thread timing can
  * change a report. A new job-keyed price belongs here.
@@ -415,9 +419,10 @@ class JobPricing
 
     /**
      * Step seconds with the whole active-straggler set @p active
-     * ((rank, speed) pairs) injected into *one* rerun of the base
-     * TrainSim (its PerfVariation changed, its masks and schedule
-     * reused): the synchronized step pays every slow stage at once.
+     * ((rank, speed) pairs) injected into *one* reprice of the base
+     * TrainSim (TrainSim::stepSeconds under a changed PerfVariation,
+     * its masks and schedule reused): the synchronized step pays every
+     * slow stage at once.
      * Stragglers on one PP stage collapse to the slowest (the stage
      * already waits for its worst rank). Memoized on that canonical
      * (stage representative, speed) set.

@@ -277,7 +277,7 @@ TrainSim::TrainSim(TrainJobConfig job)
             // round (Fig. 4c); the extra rounds contend with P2P traffic
             // and end up partially exposed (Section 3.1.3).
             const std::int64_t rounds =
-                ceilDiv(nmb_, schedule_.schedule().params().nc);
+                ceilDiv(nmb_, schedule_.params().nc);
             exposed_fsdp +=
                 kZero2RsExposedShare *
                 coll.reduceScatter(dpcp_group,
@@ -316,15 +316,14 @@ TrainSim::TrainSim(TrainJobConfig job)
         static_cast<double>(cfg.par.pp) * static_cast<double>(nmb_);
 }
 
-TrainStepReport
-TrainSim::run(const PerfVariation &perf) const
+ExecPrices
+TrainSim::prices(const PerfVariation &perf) const
 {
-    const TrainJobConfig &cfg = cfg_;
-    const RankGrid grid(cfg.par);
-    const std::int64_t pp = cfg.par.pp;
+    const RankGrid grid(cfg_.par);
+    const std::int64_t pp = cfg_.par.pp;
 
-    // The price table: stage work at the speed of each PP coordinate's
-    // representative global rank, scaled per micro-batch.
+    // Stage work at the speed of each PP coordinate's representative
+    // global rank, scaled per micro-batch.
     ExecPrices prices;
     prices.stage.resize(static_cast<std::size_t>(pp * v_ * nmb_));
     for (std::int64_t r = 0; r < pp; ++r) {
@@ -335,7 +334,7 @@ TrainSim::run(const PerfVariation &perf) const
                 stage_work_[static_cast<std::size_t>(r * v_ + s)];
             base.fwd_seconds /= speed;
             base.bwd_seconds /= speed;
-            const std::int64_t g = schedule_.schedule().globalStage(r, s);
+            const std::int64_t g = s * pp + r; // Schedule::globalStage
             for (std::int64_t mb = 0; mb < nmb_; ++mb) {
                 const auto m = static_cast<std::size_t>(mb);
                 prices.stage[static_cast<std::size_t>(g * nmb_ + mb)] =
@@ -346,11 +345,31 @@ TrainSim::run(const PerfVariation &perf) const
     }
     prices.p2p_from_prev = p2p_from_prev_;
     prices.p2p_from_next = p2p_from_next_;
-    const ExecTiming exec = timeSchedule(schedule_, prices);
+    return prices;
+}
+
+double
+TrainSim::stepSecondsAt(Time makespan) const
+{
+    return timeToSeconds(makespan) + invariant_report_.exposed_fsdp_seconds +
+           invariant_report_.optimizer_seconds;
+}
+
+double
+TrainSim::stepSeconds(const PerfVariation &perf) const
+{
+    return stepSecondsAt(timeMakespan(schedule_, prices(perf)));
+}
+
+TrainStepReport
+TrainSim::run(const PerfVariation &perf) const
+{
+    const TrainJobConfig &cfg = cfg_;
+    const std::int64_t pp = cfg.par.pp;
+    const ExecTiming exec = timeSchedule(schedule_, prices(perf));
 
     TrainStepReport rep = invariant_report_;
-    rep.step_seconds = timeToSeconds(exec.makespan) +
-                       rep.exposed_fsdp_seconds + rep.optimizer_seconds;
+    rep.step_seconds = stepSecondsAt(exec.makespan);
     rep.bubble_ratio = exec.overallBubbleRatio();
     rep.tflops_per_gpu = flops_per_rank_step_ / rep.step_seconds / 1e12;
     rep.mfu = rep.tflops_per_gpu /

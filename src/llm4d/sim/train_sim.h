@@ -92,8 +92,11 @@ struct TrainStepReport
  * PerfVariation changes: the sampled micro-batch document masks and their
  * CP pair counts, the unit-speed stage costs, the neighbour P2P prices,
  * the FSDP/optimizer exposure, and the PP schedule, built and checked
- * once. run() then only fills the executor's price table from the stage
- * costs at per-rank speed and times that schedule.
+ * once into its tape. run() then only fills the executor's price table
+ * from the stage costs at per-rank speed and times that tape.
+ * stepSeconds() fills the same table and times only the makespan: it
+ * skips the bubble ratio, the per-rank memory model and the report copy,
+ * for a caller (a straggler reprice) that reads nothing but the step.
  */
 class TrainSim
 {
@@ -125,7 +128,17 @@ class TrainSim
      */
     TrainStepReport run(const PerfVariation &perf) const;
 
+    /** run(@p perf).step_seconds, bit for bit, without the rest of the
+     *  report. */
+    double stepSeconds(const PerfVariation &perf) const;
+
   private:
+    /** The executor's price table under @p perf. */
+    ExecPrices prices(const PerfVariation &perf) const;
+
+    /** A step's seconds when its schedule takes @p makespan. */
+    double stepSecondsAt(Time makespan) const;
+
     TrainJobConfig cfg_;
     std::int64_t bs_ = 0;
     std::int64_t nmb_ = 0;

@@ -9,7 +9,9 @@
  * boundary.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "llm4d/simcore/common.h"
 
@@ -29,6 +31,25 @@ secondsToTime(double s)
 {
     // Round to nearest; durations are non-negative in this codebase.
     return static_cast<Time>(s * 1e9 + 0.5);
+}
+
+/** The end of the clock: a time no event, arrival or repair reaches. */
+constexpr Time kNever = std::numeric_limits<Time>::max();
+
+/**
+ * A drawn duration of @p s seconds (non-negative) that starts at @p from
+ * (before kNever), in nanoseconds: secondsToTime(s), at least 1 ns, and
+ * at most the room left on the clock, kNever - from. The duration is
+ * compared with that room before it is converted, so a draw past the
+ * end of the clock never overflows the cast: it ends exactly at kNever.
+ */
+constexpr Time
+drawnDuration(Time from, double s)
+{
+    const Time room = kNever - from;
+    if (!(s * 1e9 + 0.5 < static_cast<double>(room)))
+        return room;
+    return std::max<Time>(1, secondsToTime(s));
 }
 
 /**

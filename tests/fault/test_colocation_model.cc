@@ -215,6 +215,18 @@ TEST(PodHeatModel, ColdFleetMatchesBaseRates)
     EXPECT_NEAR(total, kRatePerSecond, 1e-12);
 }
 
+TEST(PodHeatModel, OnsetsPastTheClockNeverArrive)
+{
+    // One onset per ~3e12 years: the first candidate gap runs past the
+    // int64 nanosecond clock, so the onset comes back at kNever and the
+    // heat ledger is untouched.
+    PodHeatModel model(production16k(), strongTuning(), 1e-20, 0.55, 0.95,
+                       9);
+    EXPECT_EQ(model.sampleOnset(0).when, kNever);
+    for (std::int64_t p = 0; p < model.numPods(); ++p)
+        EXPECT_EQ(model.heatOf(p, 0), 0.0) << "pod " << p;
+}
+
 TEST(PodHeatModelDeathTest, RejectsBadTuning)
 {
     ColocationTuning no_heat = strongTuning();

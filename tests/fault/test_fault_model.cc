@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "llm4d/simcore/rng.h"
 #include "llm4d/simcore/time.h"
 
 namespace llm4d {
@@ -321,6 +322,105 @@ TEST(FaultModel, FixedFlapCapacityDrawsExactlyThatCapacity)
         }
     }
     EXPECT_GT(flaps, 0);
+}
+
+/** The per-component MTBF field of @p kind's class in @p cluster. */
+double &
+mtbfOf(ClusterSpec &cluster, FaultKind kind)
+{
+    switch (kind) {
+      case FaultKind::GpuFatal:
+        return cluster.node.gpu.fatal_mtbf_hours;
+      case FaultKind::HostCrash:
+        return cluster.node.host_mtbf_hours;
+      case FaultKind::LinkFlap:
+        return cluster.node.nic_flap_mtbf_hours;
+      case FaultKind::StragglerOnset:
+        break;
+    }
+    return cluster.node.gpu.straggler_mtbf_hours;
+}
+
+TEST(FaultModel, ArrivalsPastTheClockNeverFire)
+{
+    // 2,048 GPUs, every class off but GPU fatal, its MTBF scaled so far
+    // up that many gaps run past the int64 nanosecond clock (about 292
+    // years). Such a gap means the class never fires again: no fault in
+    // the first 30,000 s, and a class past the clock stays past it.
+    for (const double scale : {1e5, 1e6}) {
+        for (const std::uint64_t seed : {1, 2, 3, 42}) {
+            ClusterSpec cluster = ClusterSpec::llama3Production(2048);
+            const double fatal_mtbf = cluster.node.gpu.fatal_mtbf_hours;
+            for (int k = 0; k < kNumFaultKinds; ++k)
+                mtbfOf(cluster, static_cast<FaultKind>(k)) = 0.0;
+            cluster.node.gpu.fatal_mtbf_hours = fatal_mtbf * scale;
+            FaultModel model(cluster, FaultTuning{}, seed);
+            Time previous = 0;
+            for (const FaultEvent &ev : drain(model, 16)) {
+                SCOPED_TRACE(::testing::Message()
+                             << "scale " << scale << " seed " << seed);
+                EXPECT_GE(ev.when, secondsToTime(30000.0));
+                EXPECT_GE(ev.when, previous);
+                EXPECT_TRUE(previous < kNever || ev.when >= kNever);
+                previous = ev.when;
+            }
+        }
+    }
+}
+
+TEST(FaultModel, LongerMtbfNeverAddsFaultsOfThatClass)
+{
+    // Rng::exponential inverts the CDF, so under common random numbers a
+    // longer MTBF stretches every gap of its class, rounding included:
+    // no arrival of the class comes earlier, and a fixed window never
+    // holds more of its faults, even once gaps run past the clock.
+    Rng rng(71);
+    const Time window = secondsToTime(30.0 * 86400.0);
+    const auto arrivals = [&](const ClusterSpec &cluster, FaultKind kind,
+                              std::uint64_t seed) {
+        FaultModel model(cluster, FaultTuning{}, seed);
+        std::vector<Time> when;
+        for (FaultEvent ev = model.next(); ev.when < window;
+             ev = model.next())
+            if (ev.kind == kind)
+                when.push_back(ev.when);
+        return when;
+    };
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto kind = static_cast<FaultKind>(trial % kNumFaultKinds);
+        const auto seed = static_cast<std::uint64_t>(rng.uniformInt(1, 1 << 30));
+        const double scale = std::pow(10.0, rng.uniform(0.0, 7.0));
+        const ClusterSpec base = ClusterSpec::llama3Production(2048);
+        ClusterSpec longer = base;
+        mtbfOf(longer, kind) *= scale;
+        SCOPED_TRACE(::testing::Message() << toString(kind) << " seed " << seed
+                                          << " scale " << scale);
+        const std::vector<Time> before = arrivals(base, kind, seed);
+        const std::vector<Time> after = arrivals(longer, kind, seed);
+        EXPECT_LE(after.size(), before.size());
+        for (std::size_t i = 0; i < std::min(before.size(), after.size()); ++i)
+            EXPECT_GE(after[i], before[i]) << "arrival " << i;
+    }
+}
+
+TEST(FaultModel, FlapsPastTheClockLastToItsEnd)
+{
+    // A mean flap of ~32,000 years draws nearly every duration past the
+    // int64 nanosecond clock: such a flap lasts exactly to its end.
+    FaultTuning tuning;
+    tuning.flap_duration_mean_s = 1e12;
+    FaultModel model(production16k(), tuning, 3);
+    int flaps = 0, to_the_end = 0;
+    for (const FaultEvent &ev : drain(model, 400)) {
+        if (ev.kind != FaultKind::LinkFlap)
+            continue;
+        ++flaps;
+        EXPECT_GE(ev.duration, 1);
+        EXPECT_LE(ev.duration, kNever - ev.when);
+        to_the_end += ev.duration >= kNever - ev.when;
+    }
+    EXPECT_GT(flaps, 10);
+    EXPECT_GT(to_the_end, flaps * 9 / 10);
 }
 
 TEST(FaultModelDeathTest, RejectsFlapCapacitiesOutsideTheUnitInterval)

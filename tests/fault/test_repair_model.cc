@@ -150,6 +150,27 @@ TEST(RepairModel, StrIsReadable)
     EXPECT_NE(done.str().find("node=17"), std::string::npos);
 }
 
+TEST(RepairModel, TurnaroundsPastTheClockNeverComplete)
+{
+    // A mean repair of ~1e12 hours puts nearly every turnaround past the
+    // int64 nanosecond clock: such a repair completes at kNever, which
+    // no clock reading reaches.
+    RepairTuning tuning;
+    tuning.gpu_repair_mean_hours = 1e12;
+    tuning.host_repair_mean_hours = 1e12;
+    RepairModel shop(production16k(), tuning, 5);
+    const auto faults = fatalTimeline(50, 5);
+    for (const FaultEvent &ev : faults)
+        shop.submit(ev);
+    EXPECT_FALSE(shop.hasReady(kNever - 1));
+    int never = 0;
+    for (const RepairComplete &done : drainAll(shop)) {
+        EXPECT_GT(done.when, faults.back().when);
+        never += done.when >= kNever;
+    }
+    EXPECT_GT(never, 45);
+}
+
 TEST(RepairModelDeathTest, RejectsBadTuning)
 {
     // Symmetric with FaultTuning::validate(): non-positive means and

@@ -1,8 +1,8 @@
 /**
  * The executor against an independent reference: a sweep that polls each
  * rank's next op until its inputs are timed. It shares no code with the
- * executor, which instead walks the legality check's replay order. Both
- * timeSchedule and executeSchedule must reproduce the sweep exactly on
+ * executor, which instead walks the legality check's tape. timeSchedule,
+ * timeMakespan and executeSchedule must reproduce the sweep exactly on
  * random schedules with random per-cell costs and asymmetric P2P.
  */
 
@@ -195,9 +195,11 @@ TEST(ExecutorReference, TimingsMatchPollingSweep)
             EXPECT_EQ(got.busy, want.busy) << path;
             EXPECT_EQ(got.in_flight_peak, want.peak) << path;
         };
-        expect_reference(timeSchedule(LegalSchedule::check(sched), prices),
-                         "timeSchedule");
+        const LegalSchedule legal = LegalSchedule::check(sched);
+        expect_reference(timeSchedule(legal, prices), "timeSchedule");
         expect_reference(executeSchedule(sched, cfg), "executeSchedule");
+        EXPECT_EQ(timeMakespan(legal, prices), want.makespan)
+            << "timeMakespan";
         ++checked;
     }
     EXPECT_GT(checked, 150);
@@ -225,25 +227,29 @@ TEST(ExecutorReference, LegalityOrderRespectsProgramsAndProducers)
         std::vector<bool> fwd_done(cell(p.numStages(), 0), false);
         std::vector<bool> bwd_done(cell(p.numStages(), 0), false);
         std::vector<std::size_t> next(static_cast<std::size_t>(p.pp), 0);
-        for (const RankRun &run : legal.order()) {
-            ASSERT_GE(run.rank, 0);
-            ASSERT_LT(run.rank, p.pp);
-            ASSERT_GE(run.ops, 1) << "empty run";
-            const std::vector<PipeOp> &prog = sched.program(run.rank);
-            std::size_t &pos = next[static_cast<std::size_t>(run.rank)];
-            for (std::int64_t n = 0; n < run.ops; ++n) {
-                ASSERT_LT(pos, prog.size()) << "rank " << run.rank;
-                const PipeOp &op = prog[pos++];
-                const std::int64_t g = sched.globalStage(run.rank, op.stage);
-                if (op.kind == PipeOpKind::Forward) {
-                    EXPECT_TRUE(g == 0 || fwd_done[cell(g - 1, op.mb)]);
-                    fwd_done[cell(g, op.mb)] = true;
-                } else {
-                    EXPECT_TRUE(fwd_done[cell(g, op.mb)]);
-                    EXPECT_TRUE(g == p.numStages() - 1 ||
-                                bwd_done[cell(g + 1, op.mb)]);
-                    bwd_done[cell(g, op.mb)] = true;
-                }
+        for (const TapeEntry &entry : legal.tape()) {
+            ASSERT_LT(entry.rank, p.pp);
+            const std::vector<PipeOp> &prog = sched.program(entry.rank);
+            std::size_t &pos = next[entry.rank];
+            ASSERT_LT(pos, prog.size()) << "rank " << entry.rank;
+            const PipeOp &op = prog[pos++];
+            const std::int64_t g = sched.globalStage(entry.rank, op.stage);
+            const bool fwd = op.kind == PipeOpKind::Forward;
+            // The entry holds its program op's cell and direction, and
+            // reads a neighbouring stage unless it is a forward of the
+            // first stage or a backward of the last.
+            EXPECT_EQ(entry.cell, cell(g, op.mb));
+            EXPECT_EQ(entry.forward, fwd);
+            EXPECT_EQ(entry.reads_neighbour,
+                      fwd ? g > 0 : g < p.numStages() - 1);
+            if (fwd) {
+                EXPECT_TRUE(g == 0 || fwd_done[cell(g - 1, op.mb)]);
+                fwd_done[cell(g, op.mb)] = true;
+            } else {
+                EXPECT_TRUE(fwd_done[cell(g, op.mb)]);
+                EXPECT_TRUE(g == p.numStages() - 1 ||
+                            bwd_done[cell(g + 1, op.mb)]);
+                bwd_done[cell(g, op.mb)] = true;
             }
         }
         for (std::int64_t r = 0; r < p.pp; ++r)

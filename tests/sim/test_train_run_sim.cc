@@ -2367,6 +2367,26 @@ TEST(TrainRunSim, FlapsPriceACapacityLikeADisplacedRank)
     EXPECT_NEAR(steps, std::round(steps), 1e-6);
 }
 
+TEST(TrainRunSim, AClassPastTheClockRunsFaultFree)
+{
+    // A fatal MTBF scaled by 1e9 puts the class's gaps past the int64
+    // nanosecond clock: it never fires, so the run is the fault-free run,
+    // with no fault and no engine event.
+    TrainRunConfig quiet = baseConfig();
+    disableAllFaults(quiet);
+    const TrainRunReport want = TrainRunSim(quiet).run();
+    for (const std::uint64_t seed : {1, 2, 3, 42}) {
+        TrainRunConfig cfg = quiet;
+        cfg.seed = seed;
+        cfg.job.cluster.node.gpu.fatal_mtbf_hours =
+            baseConfig().job.cluster.node.gpu.fatal_mtbf_hours * 1e9;
+        const TrainRunReport rep = TrainRunSim(cfg).run();
+        EXPECT_EQ(rep.faults.total(), 0) << "seed " << seed;
+        EXPECT_EQ(rep.engine_events, 0) << "seed " << seed;
+        EXPECT_EQ(rep.wall_seconds, want.wall_seconds) << "seed " << seed;
+    }
+}
+
 TEST(TrainRunSim, FaultFreeRunsTakeNoEngineEvent)
 {
     // Only interrupts are engine events. Nothing interrupts a fault-free

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "llm4d/fault/recovery_policy.h"
 #include "llm4d/fsdp/fsdp.h"
+#include "llm4d/simcore/rng.h"
 
 namespace llm4d {
 namespace {
@@ -383,6 +387,92 @@ TEST(TrainSim, RerunWithChangedPerfMatchesFreshBuild)
     }
     // The base job's own perf is what run() uses.
     expectSameReport(base.run(job.perf), base.run());
+}
+
+/** The 8K job, the 8K job with 1K-mean documents and the 131K job (CP 16,
+ *  4K-mean documents), each under @p kind. */
+std::vector<TrainJobConfig>
+repriceJobs(ScheduleKind kind)
+{
+    std::vector<TrainJobConfig> jobs(3, production8k());
+    jobs[1].doc_mask_mean = 1024.0;
+    jobs[2] = longContext131k();
+    for (TrainJobConfig &job : jobs)
+        job.schedule = kind;
+    return jobs;
+}
+
+/** @p base with 1-3 random pipeline stages slowed to speeds in
+ *  [0.3, 1). */
+PerfVariation
+randomStragglers(const TrainJobConfig &job, const PerfVariation &base,
+                 Rng &rng)
+{
+    PerfVariation perf = base;
+    const std::int64_t count = rng.uniformInt(1, 3);
+    for (std::int64_t i = 0; i < count; ++i)
+        perf.injectStraggler(
+            stageRank(job, rng.uniformInt(0, job.par.pp - 1)),
+            rng.uniform(0.3, 1.0));
+    return perf;
+}
+
+TEST(TrainSim, StepSecondsIsRunsStepBitForBit)
+{
+    // A straggler reprice times only the makespan; it must price the
+    // step run() reports, to the bit, for every schedule kind, with and
+    // without document masks and baseline jitter.
+    Rng rng(31);
+    for (int k = 0; k < 3; ++k) {
+        const auto kind = static_cast<ScheduleKind>(k);
+        for (const TrainJobConfig &job : repriceJobs(kind)) {
+            const TrainSim sim(job);
+            for (int trial = 0; trial < 8; ++trial) {
+                const PerfVariation base =
+                    trial % 2 ? PerfVariation::jitter(0.02, 40 + trial)
+                              : job.perf;
+                const PerfVariation perf =
+                    trial == 0 ? base : randomStragglers(job, base, rng);
+                SCOPED_TRACE(::testing::Message()
+                             << scheduleKindName(kind) << " seq " << job.seq
+                             << " docs " << job.doc_mask_mean << " trial "
+                             << trial);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(sim.stepSeconds(perf)),
+                          std::bit_cast<std::uint64_t>(
+                              sim.run(perf).step_seconds));
+            }
+        }
+    }
+}
+
+TEST(TrainSim, StepSecondsNeverFallsAsAStragglerSlows)
+{
+    // Each op's duration, rounded to the nanosecond, never falls as its
+    // stage slows, and the makespan is built from those durations by max
+    // and +; so the step is monotone in a straggler's speed, exactly.
+    Rng rng(37);
+    for (int k = 0; k < 3; ++k) {
+        const auto kind = static_cast<ScheduleKind>(k);
+        for (const TrainJobConfig &job : repriceJobs(kind)) {
+            const TrainSim sim(job);
+            const std::int64_t stage = rng.uniformInt(0, job.par.pp - 1);
+            std::vector<double> speeds(12);
+            for (double &speed : speeds)
+                speed = rng.uniform(0.3, 1.0);
+            std::sort(speeds.begin(), speeds.end(), std::greater<>());
+            double previous = sim.stepSeconds(job.perf);
+            for (double speed : speeds) {
+                PerfVariation perf = job.perf;
+                perf.injectStraggler(stageRank(job, stage), speed);
+                const double step = sim.stepSeconds(perf);
+                EXPECT_GE(step, previous)
+                    << scheduleKindName(kind) << " seq " << job.seq
+                    << " docs " << job.doc_mask_mean << " stage " << stage
+                    << " speed " << speed;
+                previous = step;
+            }
+        }
+    }
 }
 
 } // namespace
