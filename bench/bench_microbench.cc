@@ -2,10 +2,10 @@
  * @file
  * Google-benchmark microbenchmarks of the library itself: schedule
  * generation, checking and execution, collective pricing, executable CP
- * attention, full training-step simulation, a straggler reprice, the
- * multi-day run loop, and a goodput-planning question. These guard the
- * simulator's own performance (an 8K-GPU imbalance sweep must stay
- * interactive).
+ * attention, building and running a training-step simulation, a
+ * straggler reprice, the multi-day run loop, and a goodput-planning
+ * question. These guard the simulator's own performance (an 8K-GPU
+ * imbalance sweep must stay interactive).
  */
 
 #include <benchmark/benchmark.h>
@@ -126,6 +126,27 @@ BM_TrainStepSimulation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TrainStepSimulation);
+
+void
+BM_TrainSimBuild(benchmark::State &state)
+{
+    // What a TrainSim costs before its first step is timed: document
+    // masks and CP pair counts, the schedule's build and check, and the
+    // price tables. Argument 0 is the default job, plan_sweep's 16K
+    // flexible candidate (tp8/cp1/pp16/dp128, nmb 16); argument 1 is
+    // run_degraded's (BM_StragglerRerun's job).
+    TrainJobConfig job;
+    if (state.range(0) == 1) {
+        job.par = ParallelismConfig{8, 16, 16, 8};
+        job.seq = 131072;
+        job.doc_mask_mean = 4096.0;
+    }
+    for (auto _ : state) {
+        const TrainSim sim(job);
+        benchmark::DoNotOptimize(sim.microBatches());
+    }
+}
+BENCHMARK(BM_TrainSimBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void
 BM_StragglerRerun(benchmark::State &state)

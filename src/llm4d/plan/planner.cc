@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include "llm4d/cp/sharding.h"
@@ -51,10 +52,69 @@ toString(RejectReason reason)
 
 namespace {
 
-/** Evaluate one {tp, cp, pp} x {zero, schedule} assignment. */
+/**
+ * What a candidate's cost reads that depends on its (tp, cp) shard alone:
+ * one layer and the output head at tp, over one CP rank's causal pairs,
+ * and the TP and CP exposure per layer of one micro-batch.
+ */
+struct ShardPrices
+{
+    LayerCost layer;
+    LayerCost head;
+    double tp_comm = 0.0;
+    double cp_comm = 0.0;
+};
+
+/**
+ * Price the shard of @p grid. Its rank order is [TP, CP, PP, DP], so
+ * rank 0's TP and CP spans depend on tp and cp alone, and a grid of any
+ * pp and dp gives the same prices.
+ */
+ShardPrices
+priceShard(const PlanInput &in, const CollectiveModel &coll,
+           const RankGrid &grid)
+{
+    const std::int64_t tp = grid.config().tp;
+    const std::int64_t cp = grid.config().cp;
+    const LayerCostModel lcm(BlockDims::fromText(in.model),
+                             in.cluster.node.gpu, tp);
+    const std::int64_t tokens_local = in.seq / cp;
+    const DocMask causal = DocMask::causal(in.seq);
+    const std::int64_t pairs =
+        cp == 1 ? causal.totalPairs()
+                : CpSharding(in.seq, cp).pairsOf(0, causal);
+
+    ShardPrices shard;
+    shard.layer = lcm.selfAttentionLayer(tokens_local, pairs, in.seq);
+    shard.head = lcm.outputHead(tokens_local, in.model.vocab);
+    if (tp > 1) {
+        shard.tp_comm = 2.0 * LayerCostModel::kTpCollectivesPerLayer *
+                        coll.allGather(grid.tpSpan(0),
+                                       lcm.tpCollectiveShardBytes(
+                                           tokens_local));
+    }
+    if (cp > 1) {
+        const std::int64_t kv_heads_tp =
+            std::max<std::int64_t>(1, in.model.kv_heads / tp);
+        const std::int64_t kv_shard =
+            tokens_local * 2 * 2 * kv_heads_tp * in.model.headDim();
+        shard.cp_comm = coll.allGather(grid.cpSpan(0), kv_shard) +
+                        coll.reduceScatter(grid.cpSpan(0), kv_shard);
+    }
+    return shard;
+}
+
+/**
+ * Evaluate one {tp, cp, pp} x {zero, schedule} assignment. @p shard holds
+ * its (tp, cp) shard's prices once a combo of that shard has passed the
+ * early checks; the first such combo prices it. (Pricing earlier would
+ * abort: LayerCostModel needs tp to divide the heads and CpSharding the
+ * sequence to split into 2 * cp chunks.)
+ */
 PlanCandidate
 evaluate(const PlanInput &in, const CollectiveModel &coll, std::int64_t tp,
-         std::int64_t cp, std::int64_t pp, const ComboVariant &variant)
+         std::int64_t cp, std::int64_t pp, const ComboVariant &variant,
+         std::optional<ShardPrices> &shard)
 {
     PlanCandidate cand;
     const std::int64_t ngpu = in.cluster.numGpus();
@@ -97,31 +157,14 @@ evaluate(const PlanInput &in, const CollectiveModel &coll, std::int64_t tp,
 
     // ---- Compute + exposed comm per micro-batch. ----
     const GpuSpec &gpu = in.cluster.node.gpu;
-    const LayerCostModel lcm(BlockDims::fromText(in.model), gpu, tp);
     const RankGrid grid(cand.par);
+    if (!shard)
+        shard = priceShard(in, coll, grid);
+    const LayerCost &layer = shard->layer;
+    const LayerCost &head = shard->head;
+    const double tp_comm = shard->tp_comm;
+    const double cp_comm = shard->cp_comm;
     const std::int64_t tokens_local = in.seq / cp;
-    const DocMask causal = DocMask::causal(in.seq);
-    const std::int64_t pairs =
-        cp == 1 ? causal.totalPairs()
-                : CpSharding(in.seq, cp).pairsOf(0, causal);
-    const LayerCost layer =
-        lcm.selfAttentionLayer(tokens_local, pairs, in.seq);
-
-    double tp_comm = 0.0;
-    if (tp > 1) {
-        tp_comm = 2.0 * LayerCostModel::kTpCollectivesPerLayer *
-                  coll.allGather(grid.tpSpan(0),
-                                 lcm.tpCollectiveShardBytes(tokens_local));
-    }
-    double cp_comm = 0.0;
-    if (cp > 1) {
-        const std::int64_t kv_heads_tp =
-            std::max<std::int64_t>(1, in.model.kv_heads / tp);
-        const std::int64_t kv_shard =
-            tokens_local * 2 * 2 * kv_heads_tp * in.model.headDim();
-        cp_comm = coll.allGather(grid.cpSpan(0), kv_shard) +
-                  coll.reduceScatter(grid.cpSpan(0), kv_shard);
-    }
 
     const std::int64_t fsdp_shard = cand.par.dp * cp;
     const RankSpan dpcp = grid.dpCpSpan(0);
@@ -140,7 +183,6 @@ evaluate(const PlanInput &in, const CollectiveModel &coll, std::int64_t tp,
             overlapComm(ag, layer.bwd_seconds).exposed_seconds;
     }
 
-    const LayerCost head = lcm.outputHead(tokens_local, in.model.vocab);
     const double mb_compute =
         static_cast<double>(in.model.num_layers) / pp *
             (layer.fwd_seconds + layer.bwd_seconds + tp_comm + cp_comm +
@@ -220,25 +262,28 @@ enumeratePlans(const PlanInput &in)
     std::vector<PlanCandidate> out;
     for (std::int64_t tp : in.tp_options) {
         for (std::int64_t cp : in.cp_options) {
+            std::optional<ShardPrices> shard;
             for (std::int64_t pp : in.pp_options) {
                 if (pp == 1) {
                     // 2D parallelism needs ZeRO-3 to fit the parameters.
                     out.push_back(evaluate(
                         in, coll, tp, cp, pp,
                         ComboVariant{ZeroMode::Zero3,
-                                     ScheduleKind::Flexible}));
+                                     ScheduleKind::Flexible},
+                        shard));
                     continue;
                 }
                 // Section 3.1.3: both combinations are real options; let
                 // the cost/memory models arbitrate.
                 out.push_back(evaluate(
                     in, coll, tp, cp, pp,
-                    ComboVariant{ZeroMode::Zero1,
-                                 ScheduleKind::Flexible}));
+                    ComboVariant{ZeroMode::Zero1, ScheduleKind::Flexible},
+                    shard));
                 out.push_back(evaluate(
                     in, coll, tp, cp, pp,
                     ComboVariant{ZeroMode::Zero2,
-                                 ScheduleKind::AllForwardAllBackward}));
+                                 ScheduleKind::AllForwardAllBackward},
+                    shard));
             }
         }
     }

@@ -10,9 +10,11 @@
  * {tp, cp, pp, dp} assignments, reject infeasible ones (batch-size,
  * divisibility, and memory constraints), estimate step time with the
  * analytic cost model (compute + exposed TP/CP communication + pipeline
- * bubble + exposed FSDP), and rank the rest. For the production inputs
- * this reproduces Table 2: tp8/pp16/dp128 at 8K context and
- * tp8/cp16/pp16/dp8 at 131K.
+ * bubble + exposed FSDP), and rank the rest. The costs that depend on
+ * the (tp, cp) shard alone (one layer, the output head, TP and CP
+ * exposure) are priced once per shard and shared by its combos. For
+ * the production inputs this reproduces Table 2: tp8/pp16/dp128 at 8K
+ * context and tp8/cp16/pp16/dp8 at 131K.
  *
  * This layer is deliberately fault-free; plan/goodput_planner.h re-ranks
  * its survivors by simulated goodput under failures.

@@ -177,8 +177,11 @@ walk(const ScheduleParams &p, const std::vector<TapeEntry> &tape,
         from_next[r] = secondsToTime(prices.p2p_from_next[r]);
     }
 
-    std::vector<Time> fwd_end(cells, 0);
-    std::vector<Time> bwd_end(cells, 0);
+    // Every cell's forward end, then every cell's backward end: one
+    // buffer, so a walk makes one large allocation, not two.
+    std::vector<Time> ends(2 * cells, 0);
+    Time *const fwd_end = ends.data();
+    Time *const bwd_end = fwd_end + cells;
     std::vector<Time> rank_free(pp, 0);
     std::vector<InFlightLedger> in_flight(kTiming ? pp : 0);
 
@@ -221,8 +224,8 @@ walk(const ScheduleParams &p, const std::vector<TapeEntry> &tape,
             const std::size_t g = cell / nmb;
             const PipeOp pipe_op{op.forward ? PipeOpKind::Forward
                                             : PipeOpKind::Backward,
-                                 static_cast<std::int64_t>(g / pp),
-                                 static_cast<std::int64_t>(cell % nmb)};
+                                 static_cast<std::int16_t>(g / pp),
+                                 static_cast<std::int32_t>(cell % nmb)};
             (*streams)[ri].push_back(OpRecord{op.rank, pipe_op, start, end});
         }
     }

@@ -9,11 +9,15 @@
  * forward and backward appears exactly once, on the rank that hosts the
  * stage, and (b) executing each rank's stream in order — blocking on data
  * from neighbour stages — makes progress to completion (no deadlock).
- * The checker is the only owner of that dependency semantics, and the
- * only writer of a schedule's *tape*: its replay appends each op as it
- * completes, with the price cell, rank and direction the timed executor
- * reads, so the executor walks the tape in one flat loop instead of
- * polling readiness or interpreting the per-rank programs itself.
+ * One replay proves both: it also stops a rank at an op outside the
+ * shape or at one it already ran, so a replay that completes every rank
+ * has seen each op exactly once. A separate structural pass runs only
+ * when the replay stops short, to name the fault. The checker is the
+ * only owner of that dependency semantics, and the only writer of a
+ * schedule's *tape*: its replay appends each op as it completes, with
+ * the price cell, rank and direction the timed executor reads, so the
+ * executor walks the tape in one flat loop instead of polling readiness
+ * or interpreting the per-rank programs itself.
  */
 
 #include <cstdint>

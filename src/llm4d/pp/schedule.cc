@@ -1,6 +1,7 @@
 #include "llm4d/pp/schedule.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "llm4d/simcore/common.h"
@@ -12,7 +13,13 @@ ScheduleParams::validate() const
 {
     LLM4D_CHECK(pp >= 1, "pipeline size must be >= 1");
     LLM4D_CHECK(v >= 1, "virtual stage count must be >= 1");
+    LLM4D_CHECK(v <= std::numeric_limits<std::int16_t>::max(),
+                "virtual stage count must fit a PipeOp's stage, got v="
+                    << v);
     LLM4D_CHECK(nmb >= 1, "micro-batch count must be >= 1");
+    LLM4D_CHECK(nmb <= std::numeric_limits<std::int32_t>::max(),
+                "micro-batch count must fit a PipeOp's mb, got nmb="
+                    << nmb);
     LLM4D_CHECK(nc >= 1 && nc <= nmb,
                 "nc must lie in [1, nmb], got nc=" << nc << " nmb=" << nmb);
 }
@@ -106,7 +113,8 @@ namespace {
  * Enumerate (stage, micro-batch) pairs in round order. Rounds advance
  * through micro-batches nc at a time; within a round, virtual stages run
  * ascending for forwards and descending for backwards, each covering its
- * nc consecutive micro-batches.
+ * nc consecutive micro-batches. validate() bounds v and nmb, so both
+ * indices narrow exactly.
  */
 std::vector<PipeOp>
 roundOrder(const ScheduleParams &p, PipeOpKind kind)
@@ -116,19 +124,35 @@ roundOrder(const ScheduleParams &p, PipeOpKind kind)
     for (std::int64_t base = 0; base < p.nmb; base += p.nc) {
         const std::int64_t round_nc = std::min(p.nc, p.nmb - base);
         for (std::int64_t i = 0; i < p.v; ++i) {
-            const std::int64_t stage =
-                kind == PipeOpKind::Forward ? i : p.v - 1 - i;
+            const auto stage = static_cast<std::int16_t>(
+                kind == PipeOpKind::Forward ? i : p.v - 1 - i);
             for (std::int64_t k = 0; k < round_nc; ++k)
-                order.push_back(PipeOp{kind, stage, base + k});
+                order.push_back(
+                    PipeOp{kind, stage, static_cast<std::int32_t>(base + k)});
         }
     }
     return order;
 }
 
-/** Assemble per-rank programs from a warm-up function. */
+/**
+ * Every rank's warm-up forward count: all tmb of them when every forward
+ * runs before any backward, else flexibleWarmup().
+ */
+std::vector<std::int64_t>
+warmups(const ScheduleParams &p, bool all_forward_first)
+{
+    std::vector<std::int64_t> warmup(static_cast<std::size_t>(p.pp),
+                                     p.tmb());
+    if (!all_forward_first) {
+        for (std::int64_t r = 0; r < p.pp; ++r)
+            warmup[static_cast<std::size_t>(r)] = flexibleWarmup(p, r);
+    }
+    return warmup;
+}
+
+/** Assemble per-rank programs from each rank's warm-up count. */
 std::vector<std::vector<PipeOp>>
-assemble(const ScheduleParams &p,
-         const std::vector<std::int64_t> &warmup)
+assemble(const ScheduleParams &p, const std::vector<std::int64_t> &warmup)
 {
     const std::vector<PipeOp> fwd = roundOrder(p, PipeOpKind::Forward);
     const std::vector<PipeOp> bwd = roundOrder(p, PipeOpKind::Backward);
@@ -140,16 +164,14 @@ assemble(const ScheduleParams &p,
         const std::int64_t w = warmup[static_cast<std::size_t>(r)];
         std::vector<PipeOp> prog;
         prog.reserve(static_cast<std::size_t>(2 * total));
-        for (std::int64_t i = 0; i < w; ++i)
-            prog.push_back(fwd[static_cast<std::size_t>(i)]);
+        prog.insert(prog.end(), fwd.begin(), fwd.begin() + w);
         // 1F1B steady state: one forward, one backward.
         for (std::int64_t i = 0; i + w < total; ++i) {
             prog.push_back(fwd[static_cast<std::size_t>(w + i)]);
             prog.push_back(bwd[static_cast<std::size_t>(i)]);
         }
         // Cool-down: remaining backwards.
-        for (std::int64_t i = total - w; i < total; ++i)
-            prog.push_back(bwd[static_cast<std::size_t>(i)]);
+        prog.insert(prog.end(), bwd.begin() + (total - w), bwd.end());
         programs.push_back(std::move(prog));
     }
     return programs;
@@ -168,47 +190,27 @@ buildInterleaved1F1B(ScheduleParams params)
                 "classic interleaved 1F1B requires nmb % pp == 0, got nmb="
                     << params.nmb << " pp=" << params.pp
                     << " (the constraint Section 3.1.1 removes)");
-    std::vector<std::int64_t> warmup(static_cast<std::size_t>(params.pp));
-    for (std::int64_t r = 0; r < params.pp; ++r)
-        warmup[static_cast<std::size_t>(r)] = flexibleWarmup(params, r);
     return Schedule(ScheduleKind::Interleaved1F1B, params,
-                    assemble(params, warmup));
+                    assemble(params, warmups(params, false)));
 }
 
 Schedule
 buildAllForwardAllBackward(ScheduleParams params)
 {
     params.validate();
-    // AFAB runs every forward before any backward: warm-up == tmb.
-    ScheduleParams p = params;
-    std::vector<std::int64_t> warmup(static_cast<std::size_t>(p.pp),
-                                     p.tmb());
-    return Schedule(ScheduleKind::AllForwardAllBackward, p,
-                    assemble(p, warmup));
+    return Schedule(ScheduleKind::AllForwardAllBackward, params,
+                    assemble(params, warmups(params, true)));
 }
 
 Schedule
 buildFlexible(ScheduleParams params)
 {
     params.validate();
-    if (params.nc < params.pp) {
-        // Section 3.1.1: with fewer consecutive micro-batches than ranks
-        // the interleaved pattern cannot keep 1F1B dependencies ahead of
-        // the pipeline; degenerate to all-forward-all-backward.
-        Schedule afab = buildAllForwardAllBackward(params);
-        return Schedule(ScheduleKind::Flexible, params,
-                        [&] {
-                            std::vector<std::vector<PipeOp>> progs;
-                            for (std::int64_t r = 0; r < params.pp; ++r)
-                                progs.push_back(afab.program(r));
-                            return progs;
-                        }());
-    }
-    std::vector<std::int64_t> warmup(static_cast<std::size_t>(params.pp));
-    for (std::int64_t r = 0; r < params.pp; ++r)
-        warmup[static_cast<std::size_t>(r)] = flexibleWarmup(params, r);
+    // Section 3.1.1: with fewer consecutive micro-batches than ranks the
+    // interleaved pattern cannot keep 1F1B dependencies ahead of the
+    // pipeline; degenerate to all-forward-all-backward.
     return Schedule(ScheduleKind::Flexible, params,
-                    assemble(params, warmup));
+                    assemble(params, warmups(params, params.nc < params.pp)));
 }
 
 } // namespace llm4d

@@ -18,9 +18,10 @@
  *  - nc < pp degenerates to all-forward-all-backward (Figure 4b).
  *
  * A schedule here is pure data: one vector of {Forward,Backward} x
- * {virtual stage, micro-batch} per rank. The legality checker proves a
- * stream deadlock-free; the executor prices it in time; the memory
- * tracker turns it into allocation timelines. All three consume the same
+ * {virtual stage, micro-batch} per rank, 8 bytes per op. The legality
+ * checker proves a stream deadlock-free and compiles it to the tape the
+ * executor prices in time; the memory tracker turns the executor's
+ * records into allocation timelines. All of them consume the same
  * representation, so what we test is what we measure.
  */
 
@@ -31,28 +32,32 @@
 namespace llm4d {
 
 /** Direction of one pipeline operation. */
-enum class PipeOpKind
+enum class PipeOpKind : std::uint8_t
 {
     Forward,
     Backward,
 };
 
-/** One unit of pipeline work: a (virtual stage, micro-batch) pass. */
+/**
+ * One unit of pipeline work: a (virtual stage, micro-batch) pass.
+ * ScheduleParams::validate() bounds v and nmb so both indices fit.
+ */
 struct PipeOp
 {
     PipeOpKind kind = PipeOpKind::Forward;
-    std::int64_t stage = 0; ///< virtual stage index on this rank, [0, v)
-    std::int64_t mb = 0;    ///< micro-batch index, [0, nmb)
+    std::int16_t stage = 0; ///< virtual stage index on this rank, [0, v)
+    std::int32_t mb = 0;    ///< micro-batch index, [0, nmb)
 
     bool operator==(const PipeOp &) const = default;
 };
+static_assert(sizeof(PipeOp) == 8, "a pipeline op packs into 8 bytes");
 
 /** Shape parameters of a pipeline schedule. */
 struct ScheduleParams
 {
     std::int64_t pp = 1;  ///< pipeline ranks
-    std::int64_t v = 1;   ///< virtual stages per rank
-    std::int64_t nmb = 1; ///< micro-batches per training step
+    std::int64_t v = 1;   ///< virtual stages per rank, at most INT16_MAX
+    std::int64_t nmb = 1; ///< micro-batches per step, at most INT32_MAX
     std::int64_t nc = 1;  ///< consecutive micro-batches per round
 
     /** Total stage count pp*v. */

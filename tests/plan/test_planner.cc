@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 namespace llm4d {
 namespace {
@@ -126,6 +132,66 @@ TEST(Planner, TryBestPlanReturnsNulloptWhenNothingFits)
     in.cp_options = {1};
     in.pp_options = {1, 2};
     EXPECT_FALSE(tryBestPlan(in).has_value());
+}
+
+TEST(Planner, EnumerationDoesNotDependOnOptionOrder)
+{
+    // Each candidate's estimate depends on its own (tp, cp, pp, zero,
+    // schedule), not on where its options are listed. Reordering
+    // pp_options changes which combo of a (tp, cp) shard is evaluated
+    // first, and so which one prices the shard.
+    using Key = std::tuple<std::int64_t, std::int64_t, std::int64_t,
+                           ZeroMode, ScheduleKind>;
+    const auto byKey = [](const std::vector<PlanCandidate> &plans) {
+        std::map<Key, PlanCandidate> keyed;
+        for (const PlanCandidate &c : plans)
+            EXPECT_TRUE(keyed
+                            .emplace(Key{c.par.tp, c.par.cp, c.par.pp,
+                                         c.zero, c.schedule},
+                                     c)
+                            .second);
+        return keyed;
+    };
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (const std::int64_t seq : {8192, 131072}) {
+        PlanInput in;
+        in.cluster = ClusterSpec::llama3Production(2048);
+        in.global_batch_tokens = 2048 * 1024;
+        in.seq = seq;
+        const std::map<Key, PlanCandidate> want = byKey(enumeratePlans(in));
+        for (const bool reverse : {true, false}) {
+            PlanInput reordered = in;
+            for (std::vector<std::int64_t> *options :
+                 {&reordered.tp_options, &reordered.cp_options,
+                  &reordered.pp_options}) {
+                if (reverse)
+                    std::reverse(options->begin(), options->end());
+                else
+                    std::rotate(options->begin(), options->begin() + 1,
+                                options->end());
+            }
+            const std::map<Key, PlanCandidate> got =
+                byKey(enumeratePlans(reordered));
+            ASSERT_EQ(got.size(), want.size());
+            for (const auto &[key, w] : want) {
+                const PlanCandidate &g = got.at(key);
+                SCOPED_TRACE(::testing::Message()
+                             << "seq " << seq << " reversed " << reverse
+                             << ": " << g.par.str() << " zero "
+                             << static_cast<int>(g.zero));
+                EXPECT_EQ(bits(g.est_step_seconds),
+                          bits(w.est_step_seconds));
+                EXPECT_EQ(bits(g.est_memory_gib), bits(w.est_memory_gib));
+                EXPECT_EQ(bits(g.est_tflops_per_gpu),
+                          bits(w.est_tflops_per_gpu));
+                EXPECT_EQ(bits(g.exposed_comm_fraction),
+                          bits(w.exposed_comm_fraction));
+                EXPECT_EQ(bits(g.bubble_ratio), bits(w.bubble_ratio));
+                EXPECT_EQ(g.feasible, w.feasible);
+                EXPECT_EQ(g.reject_reason, w.reject_reason);
+            }
+        }
+    }
 }
 
 TEST(Planner, MemoryEstimatesWithinHbm)

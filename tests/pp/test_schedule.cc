@@ -16,6 +16,12 @@ TEST(ScheduleParams, Validation)
 
     ScheduleParams bad{3, 2, 6, 7}; // nc > nmb
     EXPECT_DEATH(bad.validate(), "nc must lie");
+
+    // A PipeOp holds the stage in 16 bits and the micro-batch in 32.
+    ScheduleParams deep{1, 40000, 1, 1};
+    EXPECT_DEATH(deep.validate(), "virtual stage count must fit");
+    ScheduleParams long_step{1, 1, std::int64_t{1} << 31, 1};
+    EXPECT_DEATH(long_step.validate(), "micro-batch count must fit");
 }
 
 TEST(Warmup, MatchesPaperFigure2)
